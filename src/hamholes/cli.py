@@ -4,7 +4,8 @@ Subcommands: gen | analyze | hamilton | disjoint | reduce | experiment |
 verify.  Exit codes are part of the contract: 0 success (for ``hamilton``,
 a Hamilton cycle), 1 parse/usage/verification failure, 2 ``hamilton``
 terminated with a hole certificate, 3 a size guard or work budget aborted
-an exact computation.  Inputs come from a path argument or standard input
+an exact computation, 4 an internal error (a bug: an algorithm broke one of
+its own guarantees).  Inputs come from a path argument or standard input
 ("-" also means stdin).
 """
 
@@ -41,6 +42,7 @@ EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_CERTIFICATE = 2
 EXIT_BUDGET = 3
+EXIT_INTERNAL = 4
 
 
 class _UsageError(Exception):
@@ -256,8 +258,9 @@ def main(argv=None) -> int:
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except ContractViolationError:
-        raise
+    except ContractViolationError as exc:
+        print(f"error: internal: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     except (HamholesError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR

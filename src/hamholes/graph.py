@@ -9,7 +9,9 @@ from __future__ import annotations
 
 import random
 import re
+from collections import deque
 from collections.abc import Iterable
+from itertools import compress, repeat
 
 from hamholes.errors import GraphFormatError
 
@@ -31,7 +33,6 @@ class Graph:
             raise ValueError(f"vertex count must be >= 0, got {n}")
         stride = (n + 7) // 8
         rows = [bytearray(stride) for _ in range(n)]
-        m = 0
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"vertex out of range in edge ({u}, {v})")
@@ -41,22 +42,21 @@ class Graph:
                 raise ValueError(f"duplicate edge ({u}, {v})")
             rows[u][v >> 3] |= 1 << (v & 7)
             rows[v][u >> 3] |= 1 << (u & 7)
-            m += 1
-        self.n = n
-        self.m = m
-        self._adj = tuple(int.from_bytes(bytes(r), "little") for r in rows)
-        self._deg = tuple(row.bit_count() for row in self._adj)
+        self._set_rows(n, (int.from_bytes(r, "little") for r in rows))
 
     @classmethod
     def _from_rows(cls, n: int, rows: Iterable[int]) -> Graph:
         # Trusted fast path: rows must already be a valid symmetric,
         # loop-free adjacency.  Internal use only.
         g = object.__new__(cls)
-        g.n = n
-        g._adj = tuple(rows)
-        g._deg = tuple(row.bit_count() for row in g._adj)
-        g.m = sum(g._deg) // 2
+        g._set_rows(n, rows)
         return g
+
+    def _set_rows(self, n: int, rows: Iterable[int]) -> None:
+        self.n = n
+        self._adj = tuple(rows)
+        self._deg = tuple(map(int.bit_count, self._adj))
+        self.m = sum(self._deg) // 2
 
     @property
     def adj_bits(self) -> tuple[int, ...]:
@@ -122,6 +122,53 @@ def _bits(mask: int):
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+_BIT = (1).__lshift__
+
+
+def _row(nbrs: list[int]) -> int:
+    """Bitmask of the vertices in ``nbrs``.  A repeated vertex sets its bit
+    once, or carries into a higher bit; either way the row ends up with
+    fewer bits than ``nbrs`` has entries."""
+    width = max(nbrs, default=-1) + 1
+    # Summing powers of two costs O(entries * width) but has the least
+    # overhead, so it suits small rows.  One ASCII digit per vertex, read by
+    # int() in linear time, suits dense rows; one byte per 8 vertices, set
+    # one entry at a time, suits wide sparse rows.  (Crossovers measured on
+    # rows of width 100 to 100000.)
+    if len(nbrs) * width < 1 << 16:
+        return sum(map(_BIT, nbrs))
+    if 16 * len(nbrs) >= width:
+        digits = bytearray(b"0") * width
+        deque(map(digits.__setitem__, nbrs, repeat(ord("1"))), maxlen=0)
+        digits.reverse()
+        return int(digits, 2)
+    packed = bytearray((width + 7) // 8)
+    for v in nbrs:
+        packed[v >> 3] |= 1 << (v & 7)
+    return int.from_bytes(packed, "little")
+
+
+def _edge_rows(n: int, us: list[int], vs: list[int]) -> list[int] | None:
+    """Adjacency rows of the graph on 0..n-1 with edges ``us[i] vs[i]``, or
+    None if an edge has a vertex out of range, is a self-loop or repeats.
+
+    Checks and neighbour lists run in C-level builtins; only the rows are
+    built per vertex.
+    """
+    if us and (min(us) < 0 or min(vs) < 0 or max(us) >= n or max(vs) >= n):
+        return None
+    nbrs: list[list[int]] = [[] for _ in range(n)]
+    deque(map(list.append, map(nbrs.__getitem__, vs), us), maxlen=0)
+    deque(map(list.append, map(nbrs.__getitem__, us), vs), maxlen=0)
+    rows = list(map(_row, nbrs))
+    # Each edge put one entry in two lists, so the rows hold 2m bits unless
+    # some list repeats a vertex: a duplicate edge, or a self-loop (u twice
+    # in its own list).
+    if sum(map(int.bit_count, rows)) != 2 * len(us):
+        return None
+    return rows
 
 
 def min_degree(g: Graph) -> int:
@@ -327,14 +374,39 @@ def _parse_spec(toks: list[str], pos: int, seed: int | None) -> tuple[Graph, int
 # text format
 
 
+# The layout serialize_graph writes (plus an optional final newline).  Text
+# in it is parsed in bulk; anything else, and any text that fails a check,
+# goes through the line-by-line loop, the only source of GraphFormatError.
+_CANONICAL = re.compile(r"[0-9]+ [0-9]+(?:\n[0-9]+ [0-9]+)*\n?", re.ASCII)
+
+
+def _parse_canonical(text: str) -> Graph | None:
+    """The graph in canonical-layout text, or None to defer to the full loop."""
+    if not _CANONICAL.fullmatch(text):
+        return None
+    try:
+        nums = list(map(int, text.split()))
+    except ValueError:  # a number past the int-to-str digit limit
+        return None
+    n, m = nums[0], nums[1]
+    if len(nums) != 2 * m + 2:
+        return None
+    rows = _edge_rows(n, nums[2::2], nums[3::2])
+    return None if rows is None else Graph._from_rows(n, rows)
+
+
 def parse_graph(text: str) -> Graph:
     """Parse the edge-list format: header ``n m`` then m lines ``u v``.
 
     Blank lines and ``#`` comments are skipped.  Errors carry the 1-based
     physical line number of the offending input line.
     """
+    g = _parse_canonical(text)
+    if g is not None:
+        return g
     header: tuple[int, int] | None = None
-    edges: list[Edge] = []
+    us: list[int] = []
+    vs: list[int] = []
     seen: set[Edge] = set()
     n = m = 0
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -353,7 +425,7 @@ def parse_graph(text: str) -> Graph:
                 raise GraphFormatError("header counts must be >= 0", lineno)
             header = (n, m)
             continue
-        if len(edges) == m:
+        if len(us) == m:
             raise GraphFormatError(f"more than {m} edge lines", lineno)
         if len(fields) != 2:
             raise GraphFormatError("expected edge 'u v'", lineno)
@@ -369,16 +441,31 @@ def parse_graph(text: str) -> Graph:
         if key in seen:
             raise GraphFormatError(f"duplicate edge {u} {v}", lineno)
         seen.add(key)
-        edges.append((u, v))
+        us.append(u)
+        vs.append(v)
     if header is None:
         raise GraphFormatError("missing header 'n m'")
-    if len(edges) != m:
-        raise GraphFormatError(f"expected {m} edge lines, found {len(edges)}")
-    return Graph(n, edges)
+    if len(us) != m:
+        raise GraphFormatError(f"expected {m} edge lines, found {len(us)}")
+    return Graph._from_rows(n, _edge_rows(n, us, vs))
+
+
+_FLAGS = bytes.maketrans(b"01", b"\x00\x01")
 
 
 def serialize_graph(g: Graph) -> str:
     """Inverse of parse_graph: header plus lexicographically sorted edges."""
+    names = list(map(str, range(g.n)))
     lines = [f"{g.n} {g.m}"]
-    lines.extend(f"{u} {v}" for u, v in g.edges())
+    for u, row in enumerate(g.adj_bits):
+        above = row >> (u + 1)
+        if 32 * above.bit_count() < above.bit_length():
+            # Sparse row: walk its set bits.
+            vs = map(names.__getitem__, map((u + 1).__add__, _bits(above)))
+        else:
+            # Dense row: bin() lists the bits high to low; reversed, they
+            # flag the names from u+1 on.
+            flags = bin(above)[:1:-1].encode().translate(_FLAGS)
+            vs = compress(names[u + 1 : u + 1 + len(flags)], flags)
+        lines.extend(map(f"{u} ".__add__, vs))
     return "\n".join(lines)

@@ -211,6 +211,20 @@ def test_missing_required_flag_exits_1(capsys):
     assert run_cli("experiment", "--n", "8") == 1
 
 
+def test_internal_error_exits_4(workdir, capsys, monkeypatch):
+    from hamholes.errors import ContractViolationError
+
+    def broken(g):
+        raise ContractViolationError("case (b) hit without a matching j")
+
+    monkeypatch.setattr("hamholes.cli.find_hamilton", broken)
+    (workdir / "g.txt").write_text(serialize_graph(complete_graph(4)) + "\n")
+    assert run_cli("hamilton", "g.txt") == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: internal: case (b) hit without a matching j\n"
+
+
 def test_stdin_dash(workdir, capsys, monkeypatch):
     import io
 

@@ -1,5 +1,7 @@
 """Graph construction, families, the spec mini-language, and the text format."""
 
+import tracemalloc
+
 import pytest
 
 from hamholes.errors import GraphFormatError
@@ -40,10 +42,33 @@ def test_construction_rejects_bad_edges():
         Graph(3, [(0, 0)])
     with pytest.raises(ValueError, match="out of range"):
         Graph(3, [(0, 5)])
-    with pytest.raises(ValueError, match="duplicate"):
+    with pytest.raises(ValueError, match=r"^duplicate edge \(1, 0\)$"):
         Graph(3, [(0, 1), (1, 0)])
     with pytest.raises(ValueError, match="vertex count"):
         Graph(-1, [])
+    # The first bad edge in input order is the one named.
+    with pytest.raises(ValueError, match=r"^self-loop at vertex 2$"):
+        Graph(3, [(0, 1), (2, 2), (0, 5)])
+    with pytest.raises(ValueError, match=r"^vertex out of range in edge \(0, 5\)$"):
+        Graph(3, [(0, 5), (2, 2)])
+    with pytest.raises(ValueError):
+        Graph(3, [(0, 1, 2)])
+    with pytest.raises(ValueError):
+        Graph(4, [(0, 1, 2), (3,)])  # four endpoints, as two pairs have
+
+
+def test_construction_accepts_any_pair_shape():
+    # Any iterable of two endpoints is an edge, even one without len().
+    g = Graph(4, iter([[0, 1], {1, 2}, iter((2, 3))]))
+    assert g == path_graph(4)
+
+
+def test_construction_accepts_index_like_vertex_ids():
+    np = pytest.importorskip("numpy")
+    ids = np.arange(4, dtype=np.int64)
+    assert Graph(4, zip(ids[:-1], ids[1:])) == path_graph(4)
+    with pytest.raises(ValueError, match="self-loop"):
+        Graph(4, [(ids[2], ids[2])])
 
 
 def test_equality_and_hash():
@@ -178,9 +203,44 @@ def test_generate_errors():
 # text format
 
 
+def _circulant(n, steps):
+    return Graph(n, [(u, (u + s) % n) for u in range(n) for s in steps])
+
+
+# Rows are built three ways: small rows, dense rows (complete_graph(300))
+# and wide sparse rows (the 22-regular circulant on 4096 vertices).
+LARGE_ROWS = [complete_graph(300), _circulant(4096, [1, *range(300, 3300, 300)])]
+
+
 def test_graph_round_trip():
-    for g in [complete_graph(5), petersen_graph(), Graph(3), Graph(0)]:
-        assert parse_graph(serialize_graph(g)) == g
+    for g in [
+        complete_graph(5),
+        petersen_graph(),
+        Graph(3),
+        Graph(0),
+        cycle_graph(100),
+        gnp_graph(300, 0.02, 1),
+        complete_graph(60),
+        bipartite_graph(50, 70),
+        *LARGE_ROWS,
+    ]:
+        text = serialize_graph(g)
+        lines = [f"{g.n} {g.m}", *(f"{u} {v}" for u, v in g.edges())]
+        assert text == "\n".join(lines)
+        assert parse_graph(text) == g
+        assert parse_graph(text.replace("\n", " \n")) == g
+        assert Graph(g.n, g.edges()) == g
+
+
+@pytest.mark.parametrize("g", LARGE_ROWS, ids=["dense", "wide"])
+def test_parse_rejects_duplicate_in_large_rows(g):
+    lines = serialize_graph(g).split("\n")
+    u, v = lines[1].split()
+    lines[-1] = f"{v} {u}"
+    for sep in ("\n", " \n"):
+        with pytest.raises(GraphFormatError) as err:
+            parse_graph(sep.join(lines))
+        assert str(err.value) == f"line {len(lines)}: duplicate edge {v} {u}"
 
 
 def test_serialize_layout():
@@ -215,3 +275,18 @@ def test_parse_rejects_malformed(text, complaint):
 def test_parse_error_reports_physical_line():
     with pytest.raises(GraphFormatError, match="line 4"):
         parse_graph("# comment\n3 2\n0 1\n1 1\n")
+
+
+@pytest.mark.parametrize(
+    "text", ["100000 1\n0 99999\n", "# slow path\n100000 1\n0 99999\n"]
+)
+def test_parse_allocation_follows_edges(text):
+    # A wide header with one edge must not reserve n rows of n bits.
+    tracemalloc.start()
+    try:
+        g = parse_graph(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (g.n, g.m) == (100000, 1) and g.has_edge(99999, 0)
+    assert peak < 64 * 2**20
