@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from hamholes.errors import BudgetExceededError, GraphFormatError
 from hamholes.graph import Graph, disjoint_union
-from hamholes.holes import has_bipartite_hole
+from hamholes.holes import _hole_side
 from hamholes.oracle import DEFAULT_BUDGET, WorkBudget
 
 
@@ -93,7 +93,7 @@ def check_reduction_equivalence(
     left = _has_balanced_biclique(inst, budget)
     image = bcbs_to_bhn(inst)
     right = all(
-        has_bipartite_hole(image, s, 2 * inst.k - s, budget.max_probes) is not None
+        _hole_side(image, s, 2 * inst.k - s, budget.max_probes) is not None
         for s in range(1, inst.k + 1)
     )
     return left == right

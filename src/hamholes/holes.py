@@ -57,6 +57,25 @@ def _budget_guard(n: int, size: int, budget: int) -> None:
         )
 
 
+def _hole_side(
+    g: Graph, s: int, t: int, budget: int, guard: bool = True
+) -> int | None:
+    """Whether g has an (s,t)-bipartite-hole, without building a witness.
+
+    Returns the kernel's answer: the bitmask of the first candidate set X
+    of size min(s,t), or None when there is no hole.  ``guard=False`` skips
+    the C(n, min(s,t)) budget check, for a caller that has already run it
+    for this side size.
+    """
+    n = g.n
+    if s + t > n:
+        return None
+    a, b = (s, t) if s <= t else (t, s)
+    if guard:
+        _budget_guard(n, a, budget)
+    return _kernels.hole_search(g.adj_bits, n, a, b)
+
+
 def has_bipartite_hole(
     g: Graph, s: int, t: int, budget: int = DEFAULT_HOLE_BUDGET
 ) -> BipartiteHole | None:
@@ -69,18 +88,13 @@ def has_bipartite_hole(
     """
     if s < 1 or t < 1:
         raise ValueError(f"hole sides must be positive, got ({s}, {t})")
-    n = g.n
-    if s + t > n:
-        return None
-    a, b = min(s, t), max(s, t)
-    _budget_guard(n, a, budget)
-    xmask = _kernels.hole_search(g.adj_bits, n, a, b)
+    xmask = _hole_side(g, s, t, budget)
     if xmask is None:
         return None
     closed = xmask
     for v in _bits(xmask):
         closed |= g.adj_bits[v]
-    rest = list(_bits(((1 << n) - 1) & ~closed))
+    rest = list(_bits(((1 << g.n) - 1) & ~closed))
     xs = tuple(_bits(xmask))
     if s <= t:
         return BipartiteHole(xs, tuple(rest[:t]))
@@ -93,7 +107,9 @@ def alpha_tilde_exact(g: Graph, budget: int | None = None) -> int:
     Guarded: without an explicit budget the graph must have n <= 20; passing
     a budget lifts the size guard and bounds each hole search instead.
     Convention: graphs with fewer than 2 vertices have no room for two
-    non-empty sets, so the value is 1.
+    non-empty sets, so the value is 1.  Only existence is asked, so no
+    witness is built, and each side size s is budget-checked once, at the
+    first total (2s) that uses it.
     """
     if g.n < 2:
         return 1
@@ -107,7 +123,7 @@ def alpha_tilde_exact(g: Graph, budget: int | None = None) -> int:
     for total in range(2, g.n + 2):
         # (s,t)- and (t,s)-holes coincide, so s <= t covers every split.
         for s in range(1, total // 2 + 1):
-            if has_bipartite_hole(g, s, total - s, budget) is None:
+            if _hole_side(g, s, total - s, budget, 2 * s == total) is None:
                 return total - 1
     raise ContractViolationError("split scan passed total n+1 without an answer")
 

@@ -1,14 +1,16 @@
-"""Exhaustive exact solvers used as ground truth in tests and experiments.
+"""Exact solvers used as ground truth in tests and experiments.
 
-Everything here is exact-or-abort: answers are computed by full enumeration
-under an explicit work budget, and exceeding the budget raises instead of
-degrading to an approximation.  None of these routines sit on the main
+Everything here is exact-or-abort: every routine runs under an explicit
+work budget, and exceeding the budget raises instead of degrading to an
+approximation.  Hamiltonicity, independence and edge-disjoint cycles are
+found by backtracking search, one probe per node expansion.  Vertex
+connectivity is found by unit-capacity max-flows (Even's algorithm), one
+probe per augmenting-path search.  None of these routines sit on the main
 algorithms' hot path.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from hamholes import _kernels
@@ -68,48 +70,110 @@ def independence_number_exact(g: Graph, budget: WorkBudget = DEFAULT_BUDGET) -> 
     return best
 
 
-def _connected_within(g: Graph, mask: int) -> bool:
-    start = mask & -mask
-    comp = start
-    frontier = start
-    while frontier:
-        grow = 0
-        for v in _bits(frontier):
-            grow |= g.adj_bits[v]
-        frontier = grow & mask & ~comp
-        comp |= frontier
-    return comp == mask
+def _local_connectivity(adj, n: int, s: int, t: int, cap: int, spend) -> int:
+    """Internally disjoint s-t paths for non-adjacent s, t, counted up to cap.
+
+    Unit-capacity max-flow on the split network: every vertex v other than
+    s and t becomes an arc v_in -> v_out of capacity 1, and every edge uv
+    becomes arcs u_out -> v_in and v_out -> u_in of unbounded capacity.
+    Nodes are numbered v for v_in and n + v for v_out.  Each augmenting path
+    is found by one breadth-first search, which first calls spend().
+    """
+    back = [0] * n  # back[w]: mask of the v with flow on the arc v_out -> w_in
+    through = 0  # vertices whose arc v_in -> v_out carries flow
+    flow = 0
+    source = n + s
+    tbit = 1 << t
+    while flow < cap:
+        spend()
+        parent = [-1] * (2 * n)
+        seen_in = 1 << s
+        seen_out = 1 << s
+        queue = [source]
+        for x in queue:
+            if x >= n:
+                v = x - n
+                new = adj[v] & ~seen_in
+                if new & tbit:
+                    parent[t] = x
+                    break
+                seen_in |= new
+                for w in _bits(new):
+                    parent[w] = x
+                    queue.append(w)
+                # Undo flow on v's own arc: v_out -> v_in.
+                if (through >> v) & 1 and not (seen_in >> v) & 1:
+                    seen_in |= 1 << v
+                    parent[v] = x
+                    queue.append(v)
+            else:
+                # Along x's own arc if it is free, else back along the edge
+                # its flow arrived by.
+                nxt = back[x] if (through >> x) & 1 else 1 << x
+                if nxt & ~seen_out:
+                    seen_out |= nxt
+                    y = n + nxt.bit_length() - 1
+                    parent[y] = x
+                    queue.append(y)
+        else:  # no augmenting path: the flow is maximum
+            return flow
+        x = t
+        while x != source:
+            p = parent[x]
+            if p >= n:
+                v = p - n
+                if v == x:
+                    through &= ~(1 << v)
+                else:
+                    back[x] |= 1 << v
+            elif x - n == p:
+                through |= 1 << p
+            else:
+                back[p] &= ~(1 << (x - n))
+            x = p
+        flow += 1
+    return flow
 
 
 def vertex_connectivity_exact(g: Graph, budget: WorkBudget = DEFAULT_BUDGET) -> int:
-    """Exact vertex connectivity by removal-set enumeration.
+    """Exact vertex connectivity by Even's algorithm (SIAM J. Comput. 1975).
 
-    Scans removal sets by increasing size; the first size whose removal
-    leaves a disconnected graph on >= 2 vertices is kappa.  Complete graphs
-    have no such set and use the n-1 convention.  Each candidate set costs
-    one budget probe.
+    A non-complete graph has kappa <= min degree, which is the starting
+    bound.  Sources v_0, v_1, ... are taken in order while their index is
+    below the bound; for each, the local connectivity to every later
+    non-adjacent vertex is a unit-capacity max-flow, stopped once it
+    reaches the bound, and a smaller value becomes the new bound.  While
+    the bound exceeds kappa, the first vertex outside a minimum separator
+    S has index <= kappa < bound, and every vertex S cuts it from comes
+    later, so the bound ends at kappa.  Complete graphs use the n-1
+    convention; disconnected graphs give 0.  One budget probe is one
+    augmenting-path search.
     """
-    if g.n < 1:
+    n = g.n
+    if n < 1:
         raise ValueError("connectivity needs a nonempty graph")
-    if g.m == g.n * (g.n - 1) // 2:
-        return g.n - 1
+    if g.m == n * (n - 1) // 2:
+        return n - 1
+    adj = g.adj_bits
     probes = 0
-    for size in range(0, g.n - 1):
-        for cut in itertools.combinations(range(g.n), size):
-            probes += 1
-            if probes > budget.max_probes:
-                raise BudgetExceededError(
-                    f"connectivity enumeration exceeded {budget.max_probes} probes"
-                )
-            cut_mask = 0
-            for v in cut:
-                cut_mask |= 1 << v
-            remaining = ((1 << g.n) - 1) & ~cut_mask
-            if not _connected_within(g, remaining):
-                return size
-    # A non-complete graph always has a disconnecting set (remove everything
-    # except a non-adjacent pair), so this is the complete-graph convention.
-    return g.n - 1
+
+    def spend() -> None:
+        nonlocal probes
+        probes += 1
+        if probes > budget.max_probes:
+            raise BudgetExceededError(
+                f"connectivity search exceeded {budget.max_probes}"
+                " augmenting-path searches"
+            )
+
+    best = min_degree(g)
+    i = 0
+    while i < best:
+        later = ((1 << n) - 1) & ~((2 << i) - 1) & ~adj[i]
+        for j in _bits(later):
+            best = min(best, _local_connectivity(adj, n, i, j, best, spend))
+        i += 1
+    return best
 
 
 def _hamilton_cycles(g: Graph, counter: list[int], max_probes: int):

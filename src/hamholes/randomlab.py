@@ -17,7 +17,6 @@ mixing formula they are calibrated by.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -310,6 +309,9 @@ def run_experiment(cfg: ExperimentConfig, jobs: int = 1) -> ExperimentReport:
             _evaluate_sample(cfg, t, d, i) for i in range(cfg.samples)
         ]
     else:
+        # Imported here, so that commands without a pool skip loading it.
+        from concurrent.futures import ProcessPoolExecutor
+
         args = [(cfg, t, d, i) for i in range(cfg.samples)]
         chunk = max(1, cfg.samples // (jobs * 8))
         with ProcessPoolExecutor(max_workers=jobs) as pool:

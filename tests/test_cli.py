@@ -243,3 +243,19 @@ def test_console_script_installed():
     )
     assert out.returncode == 0
     assert parse_graph(out.stdout).n == 10
+
+
+def test_cli_import_leaves_process_pool_out():
+    # Only `experiment --jobs J` with J > 1 needs the pool; every other
+    # command would pay for importing it.
+    out = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "import sys, hamholes.cli; print('concurrent.futures' in sys.modules)",
+        ],
+        capture_output=True,
+        text=True,
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "False\n"

@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from corpusutil import random_graphs
 from hamholes.errors import (
@@ -140,6 +142,53 @@ def test_alpha_tilde_size_guard():
 def test_hole_budget_guard():
     with pytest.raises(BudgetExceededError, match="too large"):
         has_bipartite_hole(complete_graph(40).complement(), 18, 18, budget=10)
+
+
+def _alpha_tilde_by_definition(g, budget):
+    # Least s + t - 1 with no (s, t)-hole.  Each total tries s = 1, 2, ...,
+    # which is alpha_tilde_exact's order up to s = total // 2, so a budget
+    # trips here at the split where it trips there.
+    for total in range(2, g.n + 2):
+        for s in range(1, total):
+            if has_bipartite_hole(g, s, total - s, budget) is None:
+                return total - 1
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except BudgetExceededError as exc:
+        return str(exc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(2, 10),
+    st.sampled_from([0.0, 0.2, 0.5, 0.8, 1.0]),
+    st.integers(0, 2**32),
+    st.sampled_from([1, 5, 10, 45, 120, 10**8]),
+)
+def test_alpha_tilde_matches_definition(n, p, seed, budget):
+    g = gnp_graph(n, p, seed)
+    assert _outcome(alpha_tilde_exact, g, budget) == _outcome(
+        _alpha_tilde_by_definition, g, budget
+    )
+
+
+@pytest.mark.parametrize(
+    "g, budget, split",
+    [
+        (complete_graph(40).complement(), 10, "C(40,1)"),
+        (Graph(12), 20, "C(12,2)"),
+        (Graph(12), 66, "C(12,3)"),
+    ],
+)
+def test_alpha_tilde_budget_trips_at_first_split_over_it(g, budget, split):
+    message = f"instance too large: {split} subset probes exceed budget {budget}"
+    with pytest.raises(BudgetExceededError) as info:
+        alpha_tilde_exact(g, budget)
+    assert str(info.value) == message
+    assert _outcome(_alpha_tilde_by_definition, g, budget) == message
 
 
 # ---------------------------------------------------------------------------
