@@ -3,23 +3,19 @@
 The compiled backend covers graphs that fit a single 64-bit word; larger
 inputs always go through the pure implementation, whose Python-int bitmasks
 have no size limit.  Both backends implement identical search orders, so
-which one runs is unobservable apart from speed.  Set ``HAMHOLES_PURE=1``
-to force the pure backend (used by the benchmark and the equivalence tests).
+which one runs is unobservable apart from speed.  The compiled backend runs
+when the extension is built; the equivalence tests call ``_pure`` directly.
 """
 
 from __future__ import annotations
 
-import os
-
 from hamholes._kernels import _pure
 from hamholes._kernels._pure import EXHAUSTED, FOUND, OVER_BUDGET
 
-_native = None
-if os.environ.get("HAMHOLES_PURE", "") in ("", "0"):
-    try:
-        from hamholes._kernels import _speedups as _native
-    except ImportError:
-        _native = None
+try:
+    from hamholes._kernels import _speedups as _native
+except ImportError:
+    _native = None
 
 BACKEND = "cython" if _native is not None else "pure"
 _NATIVE_MAX_N = 64

@@ -6,6 +6,12 @@ A compiled twin lives in ``_speedups.pyx``; the two implementations must
 visit search nodes in exactly the same order so that results, witnesses and
 budget accounting agree bit for bit.  Keep any change synchronized.
 
+One Hamilton DFS, the ``hamilton_cycles`` generator, serves both the
+single-cycle search and the edge-disjoint oracle's enumeration of every
+cycle.  It keeps its path on an explicit stack, so no recursion limit caps
+the graphs it can search; ``hole_search`` and ``independence_number``
+still recurse.
+
 All kernels take adjacency as a sequence of per-vertex neighbor bitmasks
 (``adj[v] >> u & 1`` iff ``uv`` is an edge).  Status codes follow one
 convention: 0 = answer found / computed, 1 = search space exhausted,
@@ -19,8 +25,8 @@ EXHAUSTED = 1
 OVER_BUDGET = 2
 
 
-class _Budget(Exception):
-    pass
+class NodeBudgetExceeded(Exception):
+    """A search expanded more nodes than its budget allows."""
 
 
 def hole_search(adj, n: int, a: int, b: int):
@@ -47,53 +53,74 @@ def hole_search(adj, n: int, a: int, b: int):
     return go(0, 0, 0, 0)
 
 
+def hamilton_cycles(adj, n: int, counter: list[int], max_nodes: int):
+    """Yield every Hamilton cycle of the graph exactly once.
+
+    Each cycle is a vertex list starting at 0 with ``order[1] < order[-1]``,
+    which drops its reversal.  Depth-first from vertex 0 with an explicit
+    stack, neighbors in ascending order; a prefix is cut when some unvisited
+    vertex has fewer than two neighbors left to close the cycle through.
+    Each node expansion adds one to ``counter[0]``, which callers may share
+    across searches; NodeBudgetExceeded is raised once it passes max_nodes.
+    """
+    full = (1 << n) - 1
+    path = [0]
+    untried = []  # untried[i]: neighbors of path[i] still to try after path[i + 1]
+    visited = 1
+    cur = 0
+    while True:
+        counter[0] += 1
+        if counter[0] > max_nodes:
+            raise NodeBudgetExceeded
+        cand = 0
+        if len(path) == n:
+            if adj[cur] & 1 and path[1] < path[-1]:
+                yield list(path)
+        else:
+            # Every unvisited vertex still needs two cycle neighbors, all of
+            # which lie among the other unvisited vertices, `cur` and vertex 0.
+            rest = full & ~visited
+            avail = rest | (1 << cur) | 1
+            r = rest
+            while r:
+                low = r & -r
+                if (adj[low.bit_length() - 1] & (avail & ~low)).bit_count() < 2:
+                    break
+                r ^= low
+            if not r:
+                cand = adj[cur] & rest
+        while not cand:
+            if len(path) == 1:
+                return
+            visited ^= 1 << path.pop()
+            cand = untried.pop()
+        low = cand & -cand
+        untried.append(cand ^ low)
+        cur = low.bit_length() - 1
+        path.append(cur)
+        visited |= low
+
+
 def hamilton_cycle_search(adj, n: int, max_nodes: int):
-    """Exhaustive Hamilton-cycle backtracking, neighbors in ascending order.
+    """The first cycle hamilton_cycles yields, with the nodes it took.
 
     Returns (status, order, nodes): ``order`` is the found cycle as a vertex
     list starting at 0 (None unless status == FOUND), ``nodes`` the number of
     search nodes expanded.  The caller must pre-filter trivial rejections
     (n < 3, minimum degree < 2, disconnected); this routine only backtracks.
+    The compiled twin stops at the first cycle it closes, and that is the
+    first yield: the prune never cuts a prefix of a Hamilton cycle, so a
+    cycle with order[-1] < order[1] would have been closed earlier in its
+    reversed direction, which the ascending order searches first.
     """
-    full = (1 << n) - 1
-    path = [0]
-    nodes = 0
-
-    def dfs(cur: int, visited: int) -> bool:
-        nonlocal nodes
-        nodes += 1
-        if nodes > max_nodes:
-            raise _Budget
-        if len(path) == n:
-            return bool(adj[cur] & 1)
-        # Every unvisited vertex still needs two cycle neighbors, all of
-        # which lie among the other unvisited vertices, `cur` and vertex 0.
-        rest = full & ~visited
-        avail = rest | (1 << cur) | 1
-        r = rest
-        while r:
-            low = r & -r
-            v = low.bit_length() - 1
-            if (adj[v] & (avail & ~low)).bit_count() < 2:
-                return False
-            r ^= low
-        cand = adj[cur] & rest
-        while cand:
-            low = cand & -cand
-            w = low.bit_length() - 1
-            path.append(w)
-            if dfs(w, visited | low):
-                return True
-            path.pop()
-            cand ^= low
-        return False
-
+    counter = [0]
     try:
-        if dfs(0, 1):
-            return FOUND, list(path), nodes
-        return EXHAUSTED, None, nodes
-    except _Budget:
-        return OVER_BUDGET, None, nodes
+        order = next(hamilton_cycles(adj, n, counter, max_nodes), None)
+    except NodeBudgetExceeded:
+        return OVER_BUDGET, None, counter[0]
+    if order is None:
+        return EXHAUSTED, None, counter[0]
+    return FOUND, order, counter[0]
 
 
 def independence_number(adj, n: int, max_nodes: int):
@@ -109,7 +136,7 @@ def independence_number(adj, n: int, max_nodes: int):
         nonlocal best, nodes
         nodes += 1
         if nodes > max_nodes:
-            raise _Budget
+            raise NodeBudgetExceeded
         if size + cand.bit_count() <= best:
             return
         if cand == 0:
@@ -131,5 +158,5 @@ def independence_number(adj, n: int, max_nodes: int):
     try:
         go((1 << n) - 1, 0)
         return FOUND, best, nodes
-    except _Budget:
+    except NodeBudgetExceeded:
         return OVER_BUDGET, best, nodes

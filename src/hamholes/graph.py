@@ -374,6 +374,40 @@ def _parse_spec(toks: list[str], pos: int, seed: int | None) -> tuple[Graph, int
 # text format
 
 
+def _ints(tokens: list[str], message: str, lineno: int, count: int | None = None):
+    """The tokens as ints, or GraphFormatError(message, lineno) when one is
+    not an int or, with count given, when there are not count of them."""
+    if count is not None and len(tokens) != count:
+        raise GraphFormatError(message, lineno)
+    try:
+        return [int(tok) for tok in tokens]
+    except ValueError:
+        raise GraphFormatError(message, lineno) from None
+
+
+def _keyword_header(text: str, keyword: str, name: str):
+    """Read the ``keyword int`` header that starts cycle and certificate files.
+
+    Blank lines are skipped and nothing is a comment.  Returns the header's
+    int, its line number and the remaining non-blank lines as stripped
+    ``(lineno, line)`` pairs.
+    """
+    lines = [
+        (lineno, line.strip())
+        for lineno, line in enumerate(text.splitlines(), start=1)
+        if line.strip()
+    ]
+    header = f"'{keyword} {name}'"
+    if not lines:
+        raise GraphFormatError(f"missing header {header}")
+    lineno, first = lines[0]
+    fields = first.split()
+    if fields[0] != keyword:
+        raise GraphFormatError(f"expected header {header}", lineno)
+    (value,) = _ints(fields[1:], f"expected header {header}", lineno, 1)
+    return value, lineno, lines[1:]
+
+
 # The layout serialize_graph writes (plus an optional final newline).  Text
 # in it is parsed in bulk; anything else, and any text that fails a check,
 # goes through the line-by-line loop, the only source of GraphFormatError.
@@ -415,24 +449,14 @@ def parse_graph(text: str) -> Graph:
             continue
         fields = line.split()
         if header is None:
-            if len(fields) != 2:
-                raise GraphFormatError("expected header 'n m'", lineno)
-            try:
-                n, m = int(fields[0]), int(fields[1])
-            except ValueError:
-                raise GraphFormatError("expected header 'n m'", lineno) from None
+            n, m = _ints(fields, "expected header 'n m'", lineno, 2)
             if n < 0 or m < 0:
                 raise GraphFormatError("header counts must be >= 0", lineno)
             header = (n, m)
             continue
         if len(us) == m:
             raise GraphFormatError(f"more than {m} edge lines", lineno)
-        if len(fields) != 2:
-            raise GraphFormatError("expected edge 'u v'", lineno)
-        try:
-            u, v = int(fields[0]), int(fields[1])
-        except ValueError:
-            raise GraphFormatError("expected edge 'u v'", lineno) from None
+        u, v = _ints(fields, "expected edge 'u v'", lineno, 2)
         if not (0 <= u < n and 0 <= v < n):
             raise GraphFormatError(f"vertex out of range in edge {u} {v}", lineno)
         if u == v:

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from hamholes.errors import ContractViolationError, GraphFormatError
-from hamholes.graph import Graph, _bits, components, min_degree
+from hamholes.graph import Graph, _bits, _ints, _keyword_header, components, min_degree
 from hamholes.holes import (
     BipartiteHole,
     HoleCertificate,
@@ -427,28 +427,11 @@ def serialize_cycle(c: CycleSeq) -> str:
 
 def parse_cycle(text: str, g: Graph) -> CycleSeq:
     """Parse and validate a cycle file against g."""
-    lines = [
-        (lineno, line.strip())
-        for lineno, line in enumerate(text.splitlines(), start=1)
-        if line.strip()
-    ]
-    if not lines:
-        raise GraphFormatError("missing header 'cycle n'")
-    lineno, header = lines[0]
-    fields = header.split()
-    if len(fields) != 2 or fields[0] != "cycle":
-        raise GraphFormatError("expected header 'cycle n'", lineno)
-    try:
-        length = int(fields[1])
-    except ValueError:
-        raise GraphFormatError("expected header 'cycle n'", lineno) from None
-    if len(lines) != 2:
+    length, _, body = _keyword_header(text, "cycle", "n")
+    if len(body) != 1:
         raise GraphFormatError("expected exactly one vertex line after the header")
-    lineno, body = lines[1]
-    try:
-        order = [int(tok) for tok in body.split()]
-    except ValueError:
-        raise GraphFormatError("vertex ids must be integers", lineno) from None
+    lineno, line = body[0]
+    order = _ints(line.split(), "vertex ids must be integers", lineno)
     if len(order) != length:
         raise GraphFormatError(
             f"expected {length} vertex ids, found {len(order)}", lineno

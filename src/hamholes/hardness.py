@@ -14,7 +14,7 @@ import itertools
 from dataclasses import dataclass
 
 from hamholes.errors import BudgetExceededError, GraphFormatError
-from hamholes.graph import Graph, disjoint_union
+from hamholes.graph import Graph, _ints, disjoint_union
 from hamholes.holes import _hole_side
 from hamholes.oracle import DEFAULT_BUDGET, WorkBudget
 
@@ -113,24 +113,14 @@ def parse_instance(text: str) -> BipartiteInstance:
             continue
         fields = line.split()
         if header is None:
-            if len(fields) != 3:
-                raise GraphFormatError("expected header 'a b k'", lineno)
-            try:
-                a, b, k = (int(tok) for tok in fields)
-            except ValueError:
-                raise GraphFormatError("expected header 'a b k'", lineno) from None
+            a, b, k = _ints(fields, "expected header 'a b k'", lineno, 3)
             if a != b:
                 raise GraphFormatError(f"parts must balance, got {a} != {b}", lineno)
             if a < 1 or k < 1:
                 raise GraphFormatError("need a = b >= 1 and k >= 1", lineno)
             header = (a, b, k)
             continue
-        if len(fields) != 2:
-            raise GraphFormatError("expected edge 'u v'", lineno)
-        try:
-            u, v = int(fields[0]), int(fields[1])
-        except ValueError:
-            raise GraphFormatError("expected edge 'u v'", lineno) from None
+        u, v = _ints(fields, "expected edge 'u v'", lineno, 2)
         a = header[0]
         if not (0 <= u < a <= v < 2 * a):
             raise GraphFormatError(

@@ -19,7 +19,7 @@ from hamholes.errors import (
     ContractViolationError,
     GraphFormatError,
 )
-from hamholes.graph import Graph, _bits, min_degree
+from hamholes.graph import Graph, _bits, _ints, _keyword_header, min_degree
 
 DEFAULT_HOLE_BUDGET = 10**8
 ALPHA_SIZE_GUARD = 20
@@ -253,39 +253,22 @@ def serialize_certificate(c: HoleCertificate) -> str:
 
 def parse_certificate(text: str) -> HoleCertificate:
     """Inverse of serialize_certificate; ids must be ascending in each side."""
-    lines = [
-        (lineno, line.strip())
-        for lineno, line in enumerate(text.splitlines(), start=1)
-        if line.strip()
-    ]
-    if not lines:
-        raise GraphFormatError("missing header 'alpha-tilde-ge k'")
-    lineno, header = lines[0]
-    fields = header.split()
-    if len(fields) != 2 or fields[0] != "alpha-tilde-ge":
-        raise GraphFormatError("expected header 'alpha-tilde-ge k'", lineno)
-    try:
-        k = int(fields[1])
-    except ValueError:
-        raise GraphFormatError("expected header 'alpha-tilde-ge k'", lineno) from None
+    k, lineno, body = _keyword_header(text, "alpha-tilde-ge", "k")
     if k < 1:
         raise GraphFormatError("certificate k must be >= 1", lineno)
-    body = lines[1:]
     if len(body) != k // 2:
         raise GraphFormatError(
             f"expected {k // 2} pair lines for k = {k}, found {len(body)}"
         )
     pairs = []
+    message = "expected 'i | s-side | t-side'"
     for want_idx, (lineno, line) in enumerate(body, start=1):
-        parts = [part.strip() for part in line.split("|")]
+        parts = line.split("|")
         if len(parts) != 3:
-            raise GraphFormatError("expected 'i | s-side | t-side'", lineno)
-        try:
-            idx = int(parts[0])
-            s_side = tuple(int(tok) for tok in parts[1].split())
-            t_side = tuple(int(tok) for tok in parts[2].split())
-        except ValueError:
-            raise GraphFormatError("expected 'i | s-side | t-side'", lineno) from None
+            raise GraphFormatError(message, lineno)
+        (idx,) = _ints(parts[0].split(), message, lineno, 1)
+        s_side = tuple(_ints(parts[1].split(), message, lineno))
+        t_side = tuple(_ints(parts[2].split(), message, lineno))
         if idx != want_idx:
             raise GraphFormatError(f"pair index {idx}, expected {want_idx}", lineno)
         for side in (s_side, t_side):

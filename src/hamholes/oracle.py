@@ -7,6 +7,12 @@ found by backtracking search, one probe per node expansion.  Vertex
 connectivity is found by unit-capacity max-flows (Even's algorithm), one
 probe per augmenting-path search.  None of these routines sit on the main
 algorithms' hot path.
+
+The searches run in ``hamholes._kernels``: the compiled backend when it is
+built and the graph fits one word, the pure one otherwise.  The
+edge-disjoint search walks all Hamilton cycles through the pure kernels'
+one Hamilton DFS, the same search in the same order as the single-cycle
+kernel, so one node budget counts both.
 """
 
 from __future__ import annotations
@@ -14,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from hamholes import _kernels
+from hamholes._kernels._pure import NodeBudgetExceeded, hamilton_cycles
 from hamholes.errors import BudgetExceededError
 from hamholes.graph import Graph, _bits, components, min_degree
 from hamholes.hamilton import CycleSeq
@@ -176,58 +183,16 @@ def vertex_connectivity_exact(g: Graph, budget: WorkBudget = DEFAULT_BUDGET) -> 
     return best
 
 
-def _hamilton_cycles(g: Graph, counter: list[int], max_probes: int):
-    """Yield the edge lists of all Hamilton cycles of g, each exactly once.
-
-    Cycles are anchored at vertex 0 and emitted with second vertex < last
-    vertex to skip reversals.  Shares the caller's probe counter.
-    """
-    n = g.n
-    full = (1 << n) - 1
-    adj = g.adj_bits
-    path = [0]
-
-    def dfs(cur: int, visited: int):
-        counter[0] += 1
-        if counter[0] > max_probes:
-            raise BudgetExceededError(
-                f"edge-disjoint search exceeded {max_probes} node expansions"
-            )
-        if len(path) == n:
-            if (adj[cur] & 1) and path[1] < path[-1]:
-                yield [(path[i - 1], path[i]) for i in range(n)]
-            return
-        rest = full & ~visited
-        avail = rest | (1 << cur) | 1
-        r = rest
-        while r:
-            low = r & -r
-            v = low.bit_length() - 1
-            if (adj[v] & (avail & ~low)).bit_count() < 2:
-                return
-            r ^= low
-        cand = adj[cur] & rest
-        while cand:
-            low = cand & -cand
-            w = low.bit_length() - 1
-            path.append(w)
-            yield from dfs(w, visited | low)
-            path.pop()
-            cand ^= low
-
-    yield from dfs(0, 1)
-
-
 def exists_edge_disjoint_hc_exact(
     g: Graph, r: int, budget: WorkBudget = DEFAULT_BUDGET
 ) -> bool:
     """Whether g contains r pairwise edge-disjoint Hamilton cycles, exactly.
 
     Nested backtracking: enumerate Hamilton cycles of the current graph and
-    recurse on the graph minus each one.  Cheap necessary conditions
-    (m >= r*n, min degree >= 2r) prune each level.  Intended for small
-    instances (about n <= 10, r <= 2); the budget is shared across the whole
-    nested search.
+    recurse on the graph minus each one; the last level only asks whether
+    one cycle exists.  Cheap necessary conditions (m >= r*n, min degree
+    >= 2r) prune each level.  Intended for small instances (about n <= 10,
+    r <= 2); the budget is shared across the whole nested search.
     """
     if g.n < 3:
         raise ValueError(f"edge-disjoint search needs n >= 3, got {g.n}")
@@ -241,21 +206,24 @@ def exists_edge_disjoint_hc_exact(
         if need == 1:
             remaining = budget.max_probes - counter[0]
             if remaining <= 0:
-                raise BudgetExceededError(
-                    f"edge-disjoint search exceeded {budget.max_probes} node expansions"
-                )
+                raise NodeBudgetExceeded
             status, _, used = _kernels.hamilton_cycle_search(
                 h.adj_bits, h.n, remaining
             )
             counter[0] += used
             if status == _kernels.OVER_BUDGET:
-                raise BudgetExceededError(
-                    f"edge-disjoint search exceeded {budget.max_probes} node expansions"
-                )
+                raise NodeBudgetExceeded
             return status == _kernels.FOUND
-        for cycle_edges in _hamilton_cycles(h, counter, budget.max_probes):
+        n = h.n
+        for order in hamilton_cycles(h.adj_bits, n, counter, budget.max_probes):
+            cycle_edges = [(order[i - 1], order[i]) for i in range(n)]
             if solve(h.remove_edges(cycle_edges), need - 1):
                 return True
         return False
 
-    return solve(g, r)
+    try:
+        return solve(g, r)
+    except NodeBudgetExceeded:
+        raise BudgetExceededError(
+            f"edge-disjoint search exceeded {budget.max_probes} node expansions"
+        ) from None

@@ -259,6 +259,16 @@ def test_cycle_round_trip():
     assert parse_cycle(text, g) == c
 
 
+CYCLE_REJECTIONS = {
+    "": "missing header 'cycle n'",
+    "cycle x": "line 1: expected header 'cycle n'",
+    "cycle 3\n0 1": "line 2: expected 3 vertex ids, found 2",
+    "cycle 4\n0 1 2 3\n4 5": "expected exactly one vertex line after the header",
+    "cycle 3\n0 1 9": "line 2: invalid cycle: vertex 9 out of range",
+    "cycle 3\n0 1 1": "line 2: invalid cycle: repeated vertex in cycle",
+}
+
+
 @pytest.mark.parametrize(
     "text,complaint",
     [
@@ -271,8 +281,10 @@ def test_cycle_round_trip():
     ],
 )
 def test_parse_cycle_rejects(text, complaint):
-    with pytest.raises(GraphFormatError, match=complaint):
+    with pytest.raises(GraphFormatError, match=complaint) as exc:
         parse_cycle(text, complete_graph(6))
+    assert exc.type is GraphFormatError
+    assert str(exc.value) == CYCLE_REJECTIONS[text]
 
 
 def test_parse_cycle_checks_adjacency():

@@ -51,12 +51,17 @@ def test_instance_round_trip():
 
 
 def test_parse_instance_rejects():
-    with pytest.raises(GraphFormatError, match="balance"):
-        parse_instance("2 3 1\n")  # unbalanced sides
-    with pytest.raises(GraphFormatError):
-        parse_instance("")
-    with pytest.raises((GraphFormatError, ValueError)):
-        parse_instance("2 2 1\n0 1\n")  # non-cross edge
+    for text, message in [
+        # unbalanced sides
+        ("2 3 1\n", "line 1: parts must balance, got 2 != 3"),
+        ("", "missing header 'a b k'"),
+        # non-cross edge
+        ("2 2 1\n0 1\n", "line 2: edge 0 1 must satisfy u < 2 <= v < 4"),
+    ]:
+        with pytest.raises(GraphFormatError) as exc:
+            parse_instance(text)
+        assert exc.type is GraphFormatError
+        assert str(exc.value) == message
 
 
 # ---------------------------------------------------------------------------

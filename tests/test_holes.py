@@ -252,20 +252,27 @@ def test_certificate_round_trip():
     assert parse_certificate(serialize_certificate(empty)) == empty
 
 
-@pytest.mark.parametrize(
-    "text",
-    [
-        "",
-        "alpha-tilde-ge x",
-        "alpha-tilde-ge 4\n1 | 0 | 1 2",  # missing second pair
-        "alpha-tilde-ge 4\n2 | 0 1 | 2 3\n1 | 0 | 1 2 3",  # wrong index order
-        "alpha-tilde-ge 2\n1 | 1 | 0\nextra",
-        "alpha-tilde-ge 2\n1 | 1 0 | 2",  # ids not ascending
-    ],
-)
+CERTIFICATE_REJECTIONS = {
+    "": "missing header 'alpha-tilde-ge k'",
+    "alpha-tilde-ge x": "line 1: expected header 'alpha-tilde-ge k'",
+    # missing second pair
+    "alpha-tilde-ge 4\n1 | 0 | 1 2": "expected 2 pair lines for k = 4, found 1",
+    # wrong index order
+    "alpha-tilde-ge 4\n2 | 0 1 | 2 3\n1 | 0 | 1 2 3": (
+        "line 2: pair index 2, expected 1"
+    ),
+    "alpha-tilde-ge 2\n1 | 1 | 0\nextra": "expected 1 pair lines for k = 2, found 2",
+    # ids not ascending
+    "alpha-tilde-ge 2\n1 | 1 0 | 2": "line 2: side ids must be strictly ascending",
+}
+
+
+@pytest.mark.parametrize("text", list(CERTIFICATE_REJECTIONS))
 def test_parse_certificate_rejects(text):
-    with pytest.raises((CertificateError, GraphFormatError, ValueError)):
+    with pytest.raises(GraphFormatError) as exc:
         parse_certificate(text)
+    assert exc.type is GraphFormatError
+    assert str(exc.value) == CERTIFICATE_REJECTIONS[text]
 
 
 # ---------------------------------------------------------------------------

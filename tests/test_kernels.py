@@ -1,18 +1,31 @@
-"""Pure-Python and compiled kernels must agree bit for bit."""
-
-import os
-import subprocess
-import sys
+"""The pure kernels' search order, pinned, and the compiled kernels against
+the pure ones, bit for bit, where the extension is built."""
 
 import pytest
 
 from corpusutil import random_graphs
 from hamholes._kernels import BACKEND, _pure
-from hamholes.graph import bipartite_graph, complete_graph, cycle_graph, petersen_graph
-
-speedups = pytest.importorskip(
-    "hamholes._kernels._speedups", reason="compiled backend not built"
+from hamholes._kernels._pure import EXHAUSTED, FOUND
+from hamholes.errors import BudgetExceededError
+from hamholes.graph import (
+    bipartite_graph,
+    complete_graph,
+    cycle_graph,
+    gnp_graph,
+    petersen_graph,
 )
+from hamholes.oracle import (
+    WorkBudget,
+    exists_edge_disjoint_hc_exact,
+    is_hamiltonian_exact,
+)
+
+
+@pytest.fixture
+def speedups():
+    return pytest.importorskip(
+        "hamholes._kernels._speedups", reason="compiled backend not built"
+    )
 
 
 def _cases():
@@ -29,11 +42,104 @@ def _cases():
     return graphs
 
 
-def test_backend_is_compiled_here():
+# (status, nodes, order) of the pure Hamilton search on each of _cases() at
+# budget 10**7, which none of them reaches.  They fix its visit order and
+# node count.
+HAMILTON_PINS = [
+    (EXHAUSTED, 1, None),
+    (FOUND, 6, "0 1 2 3 4 5"),
+    (FOUND, 9, "0 1 2 3 4 5 6 7 8"),
+    (EXHAUSTED, 109, None),
+    (EXHAUSTED, 142, None),
+    (EXHAUSTED, 1, None),
+    (EXHAUSTED, 1, None),
+    (EXHAUSTED, 1, None),
+    (EXHAUSTED, 1, None),
+    (EXHAUSTED, 18, None),
+    (FOUND, 8, "0 1 2 3 4 5 6 7"),
+    (EXHAUSTED, 1, None),
+    (EXHAUSTED, 1, None),
+    (EXHAUSTED, 1, None),
+    (FOUND, 9, "0 1 4 2 3 5 7 6"),
+    (FOUND, 20, "0 1 2 7 6 5 3 4"),
+    (FOUND, 9, "0 1 2 4 6 5 3 7"),
+    (FOUND, 10, "0 3 5 1 4 2 6 7"),
+    (FOUND, 8, "0 2 1 3 4 6 5 7"),
+    (FOUND, 9, "0 2 1 3 5 7 4 6"),
+    (EXHAUSTED, 1, None),
+    (FOUND, 8, "0 1 3 2 4 5 6 7"),
+    (EXHAUSTED, 1, None),
+    (EXHAUSTED, 130, None),
+    (FOUND, 8, "0 1 2 3 4 5 6 7"),
+    (FOUND, 8, "0 1 2 3 5 6 4 7"),
+    (EXHAUSTED, 1, None),
+    (FOUND, 8, "0 1 2 3 4 5 6 7"),
+    (FOUND, 12, "0 1 2 3 5 4 6 7"),
+    (EXHAUSTED, 1, None),
+    (EXHAUSTED, 1, None),
+    (FOUND, 14, "0 3 1 2 4 5 6 9 10 12 8 7 11"),
+    (EXHAUSTED, 1, None),
+    (EXHAUSTED, 1, None),
+    (FOUND, 13, "0 1 2 3 4 5 6 7 8 9 10 11 12"),
+    (EXHAUSTED, 1, None),
+    (FOUND, 23, "0 4 6 7 9 3 1 5 8 10 12 2 11"),
+    (EXHAUSTED, 1, None),
+    (FOUND, 14, "0 1 3 2 4 5 6 7 8 9 10 12 11"),
+    (FOUND, 13, "0 1 2 4 3 5 6 7 8 9 10 12 11"),
+    (EXHAUSTED, 1, None),
+    (FOUND, 13, "0 1 2 3 4 5 6 7 8 9 10 12 11"),
+    (EXHAUSTED, 90, None),
+    (FOUND, 13, "0 1 2 3 4 5 6 7 8 9 10 11 12"),
+    (FOUND, 23, "0 3 8 4 11 12 1 7 9 2 10 6 5"),
+    (FOUND, 147, "0 1 2 7 9 4 3 8 5 10 6 19 18 17 15 13 11 14 16 12"),
+    (FOUND, 45, "0 10 3 2 4 6 1 5 8 16 15 11 13 14 9 7 17 19 18 12"),
+    (FOUND, 1071, "0 7 2 1 5 6 13 11 19 14 10 3 15 12 16 18 4 9 8 17"),
+    (FOUND, 33, "0 4 6 7 9 11 8 17 12 3 2 16 19 5 10 1 15 13 18 14"),
+    (EXHAUSTED, 1, None),
+    (FOUND, 42, "0 1 2 4 5 15 19 7 9 18 10 12 17 8 14 16 11 6 3 13"),
+]
+
+
+def test_pure_hamilton_search_pinned():
+    for g, (status, nodes, order) in zip(_cases(), HAMILTON_PINS, strict=True):
+        adj = list(g.adj_bits)
+        done = (status, order and [int(v) for v in order.split()], nodes)
+        for budget in (10**7, 25, 3):
+            # A search that needs more nodes than its budget stops at budget + 1.
+            want = done if nodes <= budget else (_pure.OVER_BUDGET, None, budget + 1)
+            assert _pure.hamilton_cycle_search(adj, g.n, budget) == want, (g, budget)
+
+
+@pytest.mark.parametrize(
+    "g,least,answer",
+    [
+        (complete_graph(5), 10, True),
+        (bipartite_graph(4, 4), 16, True),
+        (gnp_graph(9, 0.7, seed=6), 251, True),
+        (gnp_graph(8, 0.6, seed=242), 1909, False),
+    ],
+    ids=["K5", "K44", "gnp9", "gnp8-no"],
+)
+def test_edge_disjoint_least_budget(g, least, answer):
+    # The least budget pins the node count of the nested cycle enumeration
+    # plus the single-cycle searches under it.
+    assert exists_edge_disjoint_hc_exact(g, 2, WorkBudget(least)) is answer
+    with pytest.raises(BudgetExceededError) as exc:
+        exists_edge_disjoint_hc_exact(g, 2, WorkBudget(least - 1))
+    message = f"edge-disjoint search exceeded {least - 1} node expansions"
+    assert str(exc.value) == message
+
+
+def test_long_cycle_needs_no_recursion():
+    ok, cycle = is_hamiltonian_exact(cycle_graph(1500))
+    assert ok and sorted(cycle.order) == list(range(1500))
+
+
+def test_backend_is_compiled_here(speedups):
     assert BACKEND == "cython"
 
 
-def test_hole_search_agrees():
+def test_hole_search_agrees(speedups):
     for g in _cases():
         adj = list(g.adj_bits)
         for a in range(1, 4):
@@ -45,7 +151,7 @@ def test_hole_search_agrees():
                 assert got_p == got_c, (g, a, b)
 
 
-def test_hamilton_search_agrees():
+def test_hamilton_search_agrees(speedups):
     for g in _cases():
         adj = list(g.adj_bits)
         for budget in (10**7, 25, 3):
@@ -54,7 +160,7 @@ def test_hamilton_search_agrees():
             assert got_p == got_c, (g, budget)
 
 
-def test_independence_agrees():
+def test_independence_agrees(speedups):
     for g in _cases():
         adj = list(g.adj_bits)
         for budget in (10**7, 20, 2):
@@ -63,29 +169,15 @@ def test_independence_agrees():
             assert got_p == got_c, (g, budget)
 
 
-def test_status_codes_share_values():
+def test_status_codes_share_values(speedups):
     for name in ("FOUND", "EXHAUSTED", "OVER_BUDGET"):
         assert getattr(_pure, name) == getattr(speedups, name)
-
-
-def test_pure_env_override_selects_pure_backend():
-    env = dict(os.environ, HAMHOLES_PURE="1")
-    out = subprocess.run(
-        [sys.executable, "-c", "from hamholes._kernels import BACKEND; print(BACKEND)"],
-        capture_output=True,
-        text=True,
-        env=env,
-        check=True,
-    )
-    assert out.stdout.strip() == "pure"
 
 
 def test_dispatch_large_n_uses_pure_fallback():
     # words wider than 64 bits only exist on the pure path; the dispatcher
     # must still answer correctly there
-    from hamholes.graph import gnp_graph
     from hamholes.holes import has_bipartite_hole
-    from hamholes.oracle import is_hamiltonian_exact
 
     g = gnp_graph(70, 0.3, seed=4)
     assert has_bipartite_hole(g, 1, 1) is not None or g.m == 70 * 69 // 2
