@@ -8,9 +8,10 @@ budget accounting agree bit for bit.  Keep any change synchronized.
 
 One Hamilton DFS, the ``hamilton_cycles`` generator, serves both the
 single-cycle search and the edge-disjoint oracle's enumeration of every
-cycle.  It keeps its path on an explicit stack, so no recursion limit caps
-the graphs it can search; ``hole_search`` and ``independence_number``
-still recurse.
+cycle.  It and ``independence_number`` keep their search paths on explicit
+stacks, so no recursion limit caps the graphs they can search.  Only
+``hole_search`` still recurses, one level per picked vertex, and the
+caller's C(n, a) guard bounds that depth.
 
 All kernels take adjacency as a sequence of per-vertex neighbor bitmasks
 (``adj[v] >> u & 1`` iff ``uv`` is an edge).  Status codes follow one
@@ -128,20 +129,23 @@ def independence_number(adj, n: int, max_nodes: int):
 
     Returns (status, size, nodes).  Branching vertex: maximum degree inside
     the candidate set, ties to the lowest id; bound: |current| + |candidates|.
+    Depth-first with an explicit stack of (candidates, size) nodes; the
+    branch that takes the picked vertex is searched before the one that
+    drops it.
     """
     best = 0
     nodes = 0
-
-    def go(cand: int, size: int) -> None:
-        nonlocal best, nodes
+    stack = [((1 << n) - 1, 0)]
+    while stack:
+        cand, size = stack.pop()
         nodes += 1
         if nodes > max_nodes:
-            raise NodeBudgetExceeded
+            return OVER_BUDGET, best, nodes
         if size + cand.bit_count() <= best:
-            return
+            continue
         if cand == 0:
             best = size
-            return
+            continue
         pick = -1
         pick_deg = -1
         c = cand
@@ -152,11 +156,6 @@ def independence_number(adj, n: int, max_nodes: int):
             if d > pick_deg:
                 pick, pick_deg = v, d
             c ^= low
-        go(cand & ~(adj[pick] | (1 << pick)), size + 1)
-        go(cand & ~(1 << pick), size)
-
-    try:
-        go((1 << n) - 1, 0)
-        return FOUND, best, nodes
-    except NodeBudgetExceeded:
-        return OVER_BUDGET, best, nodes
+        stack.append((cand & ~(1 << pick), size))
+        stack.append((cand & ~(adj[pick] | (1 << pick)), size + 1))
+    return FOUND, best, nodes

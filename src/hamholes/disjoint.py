@@ -70,10 +70,10 @@ def find_edge_disjoint_hamilton(g: Graph, r_cap: int | None = None) -> DisjointR
             )
         result = find_hamilton(residual)
         if result.cycle is not None:
-            # Rebind to g: the found cycle lives in the residual graph, but
-            # its edges are also edges of g.
-            cycles.append(CycleSeq(g, result.cycle.order))
-            residual = residual.remove_edges(result.cycle.edges())
+            # Rebind unchecked: it was checked against residual, a subgraph of g.
+            c = result.cycle
+            cycles.append(CycleSeq._trusted(g, c.order, c.mask))
+            residual = residual.remove_edges(c.edges())
             continue
         residual_cert = result.certificate
         translated = translate_certificate(residual_cert, cycles, g)

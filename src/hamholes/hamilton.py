@@ -78,12 +78,26 @@ class PathState:
         return f"PathState({list(self.order)})"
 
 
+def _canonical(order: tuple[int, ...]) -> tuple[int, ...]:
+    """The rotation and direction of a cycle that CycleSeq stores."""
+    i = order.index(min(order))
+    if order[(i + 1) % len(order)] <= order[i - 1]:
+        return order[i:] + order[:i]
+    return order[i::-1] + order[:i:-1]
+
+
 class CycleSeq:
     """A cycle: >= 3 distinct vertices, cyclically consecutive pairs adjacent.
 
     The stored order is canonical -- it starts at the lowest vertex and runs
     toward that vertex's smaller-id neighbor -- so equal cycles compare equal
     no matter which rotation or direction they were built from.
+
+    ``CycleSeq(graph, order)`` checks every vertex and every adjacency and
+    raises ValueError on a bad cycle; it is the constructor for callers and
+    for parsed input.  ``CycleSeq._trusted`` is internal: it canonicalises
+    the order but checks nothing, for cycles the solver has just built from
+    a valid maximal path.
     """
 
     __slots__ = ("graph", "order", "mask")
@@ -103,14 +117,17 @@ class CycleSeq:
             u = order[i - 1]
             if not (graph.adj_bits[u] >> v) & 1:
                 raise ValueError(f"cyclically consecutive {u}, {v} not adjacent")
-        i = order.index(min(order))
-        if order[(i + 1) % len(order)] <= order[i - 1]:
-            canon = order[i:] + order[:i]
-        else:
-            canon = (order[i],) + tuple(reversed(order[i + 1 :] + order[:i]))
         self.graph = graph
-        self.order = canon
+        self.order = _canonical(order)
         self.mask = mask
+
+    @classmethod
+    def _trusted(cls, graph: Graph, order: tuple[int, ...], mask: int) -> CycleSeq:
+        c = object.__new__(cls)
+        c.graph = graph
+        c.order = _canonical(order)
+        c.mask = mask
+        return c
 
     def edges(self) -> list[tuple[int, int]]:
         """The cycle's edges as consecutive pairs, including the wrap-around."""
@@ -209,7 +226,9 @@ def try_close(g: Graph, p: PathState) -> CycleSeq | None:
 
     Both endpoint neighborhoods lie on the path (maximality is required and
     checked), so one pass over position masks realizes every split at once;
-    cost is O(n) big-int word operations per N(f) position.
+    cost is O(n) big-int word operations per N(f) position.  The cycle is
+    built from a valid maximal path and not re-checked: each rewiring keeps
+    the path's vertex set, so its mask is the path's.
     """
     _check_graph(g, p.graph, "path")
     order = p.order
@@ -221,7 +240,7 @@ def try_close(g: Graph, p: PathState) -> CycleSeq | None:
         raise ValueError("path is not maximal: an endpoint has an outside neighbor")
     f, b = order[0], order[-1]
     if (adj[f] >> b) & 1:
-        return CycleSeq(g, order)
+        return CycleSeq._trusted(g, order, p.mask)
 
     pos = [0] * g.n
     for i, v in enumerate(order):
@@ -233,7 +252,7 @@ def try_close(g: Graph, p: PathState) -> CycleSeq | None:
     if hit:
         j = (hit & -hit).bit_length()  # lowest j-1, plus one
         cycle = (order[0],) + order[j:] + order[j - 1 : 0 : -1]
-        return CycleSeq(g, cycle)
+        return CycleSeq._trusted(g, cycle, p.mask)
 
     b_positions = list(_bits(b_mask))
 
@@ -254,7 +273,7 @@ def try_close(g: Graph, p: PathState) -> CycleSeq | None:
             for j in b_positions[ptr:]:
                 if (hit >> order[j + 1]) & 1:
                     cycle = order[:i] + order[j + 1 :] + order[j : i - 1 : -1]
-                    return CycleSeq(g, cycle)
+                    return CycleSeq._trusted(g, cycle, p.mask)
             raise ContractViolationError("case (b) hit without a matching j")
 
     # (c): successors of B positions < i, growing as i sweeps A ascending.
@@ -275,7 +294,7 @@ def try_close(g: Graph, p: PathState) -> CycleSeq | None:
                         + order[m - 1 : i : -1]
                         + order[j + 1 : i + 1]
                     )
-                    return CycleSeq(g, cycle)
+                    return CycleSeq._trusted(g, cycle, p.mask)
             raise ContractViolationError("case (c) hit without a matching j")
     return None
 
@@ -397,7 +416,9 @@ def find_hamilton(g: Graph) -> HamResult:
     extend / close / reopen.  Each iteration grows the path, so there are at
     most n iterations; closure failure on a maximal path terminates with the
     extracted certificate.  The certificate value is always >= delta+1, and
-    the whole run is deterministic.
+    the whole run is deterministic.  Intermediate cycles are reopened
+    unchecked; the returned cycle is checked once, and a check failure is a
+    ContractViolationError.
     """
     if g.n < 3:
         raise ValueError(f"find_hamilton needs n >= 3, got {g.n}")
@@ -411,7 +432,10 @@ def find_hamilton(g: Graph) -> HamResult:
         if cycle is None:
             return HamResult(certificate=extract_certificate(g, p))
         if len(cycle) == g.n:
-            return HamResult(cycle=cycle)
+            try:
+                return HamResult(cycle=CycleSeq(g, cycle.order))
+            except ValueError as exc:
+                raise ContractViolationError(f"found cycle invalid: {exc}") from exc
         p = reopen_cycle(g, cycle)
     raise ContractViolationError("path stopped growing without termination")
 

@@ -34,3 +34,13 @@ def random_graphs(n: int, count: int, seed: int, p: float | None = None):
         edges = [e for e in pair_list(n) if rng.random() < prob]
         out.append(Graph(n, edges))
     return out
+
+
+def to_nx(g: Graph):
+    """g as a networkx graph, for tests that check against networkx."""
+    import networkx as nx
+
+    h = nx.Graph()
+    h.add_nodes_from(range(g.n))
+    h.add_edges_from(g.edges())
+    return h

@@ -224,6 +224,7 @@ def test_criterion_5_disjoint_suite(report):
             for c in res.cycles:
                 edges = {tuple(sorted(e)) for e in c.edges()}
                 assert set(c.order) == set(range(g.n))
+                assert all(g.has_edge(u, v) for u, v in c.edges())
                 assert not (edges & seen)
                 seen |= edges
             residual = g.remove_edges(seen)

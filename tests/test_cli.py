@@ -1,5 +1,6 @@
 """CLI subcommands, file formats, and the exit-code contract."""
 
+import io
 import subprocess
 import sys
 
@@ -66,6 +67,16 @@ def test_analyze_guard_exits_3_without_budget(workdir, capsys):
     assert "instance too large" in capsys.readouterr().err
     assert run_cli("analyze", "big.txt", "--exact", "--budget", "1000000") == 0
     assert capsys.readouterr().out.splitlines()[1] == "1 1 20"
+
+
+def test_analyze_exact_on_a_huge_empty_graph_exits_3(monkeypatch, capsys):
+    # alpha of 1200 isolated vertices takes 1200 nested include-branches; the
+    # alpha-tilde size guard then aborts with exit 3 and one error line.
+    monkeypatch.setattr("sys.stdin", io.StringIO("1200 0\n"))
+    assert run_cli("analyze", "-", "--exact") == 3
+    out, err = capsys.readouterr()
+    assert out == "1200 0 0\n"
+    assert err.startswith("error: instance too large") and err.count("\n") == 1
 
 
 def test_analyze_parse_error_exits_1(workdir, capsys):
@@ -226,8 +237,6 @@ def test_internal_error_exits_4(workdir, capsys, monkeypatch):
 
 
 def test_stdin_dash(workdir, capsys, monkeypatch):
-    import io
-
     monkeypatch.setattr(
         "sys.stdin", io.StringIO(serialize_graph(complete_graph(4)) + "\n")
     )

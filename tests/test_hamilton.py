@@ -151,6 +151,7 @@ def test_try_close_flip_cases_agree_with_naive_search():
             assert (c is not None) == naive_closes(g, p.order)
             if c is not None:
                 assert set(c.order) == set(range(g.n))
+                assert all(g.has_edge(c.order[i - 1], c.order[i]) for i in range(g.n))
                 checked += 1
     assert checked > 20
 
@@ -222,16 +223,32 @@ def test_find_hamilton_is_deterministic():
 
 
 def test_find_hamilton_soundness_random():
-    # every outcome must check out: cycles are validated by CycleSeq itself,
-    # certificates must verify with value at least delta + 1
+    # every outcome must check out: cycles span g and each cyclically
+    # consecutive pair is an edge of g, certificates must verify with value
+    # at least delta + 1
     for g in random_graphs(9, 60, seed=31):
         res = find_hamilton(g)
         if res.cycle is not None:
-            assert set(res.cycle.order) == set(range(g.n))
+            order = res.cycle.order
+            assert sorted(order) == list(range(g.n))
+            assert all(g.has_edge(order[i - 1], order[i]) for i in range(g.n))
         else:
             k = verify_certificate(g, res.certificate)
             assert k == res.certificate.k >= min_degree(g) + 1
             assert alpha_tilde_exact(g) >= k
+
+
+def test_find_hamilton_checks_the_cycle_it_returns(monkeypatch):
+    # try_close builds its cycles unchecked; a broken spanning one must not
+    # leave find_hamilton as an answer.
+    g = cycle_graph(5)
+
+    def broken(g, p):
+        return CycleSeq._trusted(g, (0, 2, 1, 3, 4), p.mask)
+
+    monkeypatch.setattr("hamholes.hamilton.try_close", broken)
+    with pytest.raises(ContractViolationError, match="not adjacent"):
+        find_hamilton(g)
 
 
 def test_find_hamilton_complete_under_degree_bound(corpus_upto5):

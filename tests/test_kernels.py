@@ -15,6 +15,7 @@ from hamholes.graph import (
     petersen_graph,
 )
 from hamholes.oracle import (
+    DEFAULT_BUDGET,
     WorkBudget,
     exists_edge_disjoint_hc_exact,
     is_hamiltonian_exact,
@@ -108,6 +109,38 @@ def test_pure_hamilton_search_pinned():
             # A search that needs more nodes than its budget stops at budget + 1.
             want = done if nodes <= budget else (_pure.OVER_BUDGET, None, budget + 1)
             assert _pure.hamilton_cycle_search(adj, g.n, budget) == want, (g, budget)
+
+
+# (size, nodes, best at budget 20, best at budget 2) of the pure independence
+# search on each of _cases(), recorded from the recursive search it replaced.
+# A search that runs out of budget reports the best size found so far, so
+# the last two fix how far its visit order has got by then.
+INDEPENDENCE_PINS = [
+    (1, 3, 1, 1), (1, 11, 1, 1), (4, 29, 4, 0), (4, 19, 4, 0),
+    (4, 33, 4, 0), (3, 19, 3, 0), (5, 21, 5, 0), (4, 17, 4, 0),
+    (5, 23, 5, 0), (4, 17, 4, 1), (2, 17, 2, 1), (6, 23, 6, 0),
+    (6, 29, 5, 0), (5, 21, 5, 0), (2, 19, 2, 0), (3, 17, 3, 1),
+    (3, 17, 3, 0), (3, 19, 3, 0), (2, 15, 2, 0), (2, 17, 2, 1),
+    (3, 25, 3, 0), (2, 15, 2, 1), (4, 21, 4, 0), (4, 23, 4, 0),
+    (2, 17, 2, 1), (3, 19, 3, 1), (5, 15, 5, 0), (2, 15, 2, 1),
+    (2, 15, 2, 1), (5, 27, 4, 0), (8, 55, 8, 0), (4, 33, 4, 0),
+    (11, 43, 10, 0), (9, 45, 7, 0), (3, 29, 3, 0), (8, 53, 7, 0),
+    (4, 41, 4, 0), (10, 29, 10, 0), (3, 27, 3, 1), (3, 27, 3, 0),
+    (8, 61, 7, 0), (2, 27, 2, 1), (7, 39, 6, 0), (2, 27, 1, 1),
+    (5, 43, 5, 0), (7, 139, 5, 0), (8, 151, 5, 0), (7, 161, 5, 0),
+    (7, 145, 6, 0), (7, 111, 5, 0), (8, 129, 6, 0),
+]
+
+
+def test_pure_independence_pinned():
+    for g, (size, nodes, best20, best2) in zip(_cases(), INDEPENDENCE_PINS, strict=True):
+        adj = list(g.adj_bits)
+        for budget, best in ((DEFAULT_BUDGET.max_probes, size), (20, best20), (2, best2)):
+            if nodes <= budget:
+                want = (FOUND, size, nodes)
+            else:
+                want = (_pure.OVER_BUDGET, best, budget + 1)
+            assert _pure.independence_number(adj, g.n, budget) == want, (g, budget)
 
 
 @pytest.mark.parametrize(

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from corpusutil import to_nx
 from hamholes.graph import (
     Graph,
     bipartite_graph,
@@ -29,13 +30,6 @@ nx = pytest.importorskip("networkx")
 local_node_connectivity = nx.algorithms.connectivity.local_node_connectivity
 
 SETTINGS = settings(max_examples=200, deadline=None)
-
-
-def to_nx(g: Graph):
-    h = nx.Graph()
-    h.add_nodes_from(range(g.n))
-    h.add_edges_from(g.edges())
-    return h
 
 
 def nx_kappa(g: Graph) -> int:
