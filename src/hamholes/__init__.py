@@ -7,6 +7,10 @@ cycle or a machine-checkable certificate that ``alpha_tilde > delta`` in
 polynomial time.  Exact (exponential) oracles, edge-disjoint cycle
 extraction, a hardness reduction from balanced complete bipartite
 subgraphs, and a seeded random-graph laboratory round out the toolkit.
+
+Only the names in ``__all__`` are re-exported here.  Helpers such as the
+rotation steps, the named generators and the experiment's event checks stay
+importable from their submodules.
 """
 
 from hamholes._kernels import BACKEND
@@ -18,36 +22,8 @@ from hamholes.errors import (
     GraphFormatError,
     HamholesError,
 )
-from hamholes.graph import (
-    Graph,
-    bipartite_graph,
-    complete_graph,
-    components,
-    cycle_graph,
-    disjoint_union,
-    external_neighborhood,
-    fan_example_graph,
-    generate,
-    gnp_graph,
-    min_degree,
-    parse_graph,
-    path_graph,
-    petersen_graph,
-    serialize_graph,
-)
-from hamholes.hamilton import (
-    CycleSeq,
-    HamResult,
-    PathState,
-    disconnected_certificate,
-    extend_maximal,
-    extract_certificate,
-    find_hamilton,
-    parse_cycle,
-    reopen_cycle,
-    serialize_cycle,
-    try_close,
-)
+from hamholes.graph import Graph, generate, parse_graph, serialize_graph
+from hamholes.hamilton import CycleSeq, HamResult, find_hamilton, parse_cycle, serialize_cycle
 from hamholes.hardness import (
     BipartiteInstance,
     bcbs_to_bhn,
@@ -56,7 +32,6 @@ from hamholes.hardness import (
     serialize_instance,
 )
 from hamholes.holes import (
-    ALPHA_SIZE_GUARD,
     BipartiteHole,
     HoleCertificate,
     alpha_tilde_exact,
@@ -67,29 +42,17 @@ from hamholes.holes import (
     verify_certificate,
 )
 from hamholes.oracle import (
-    DEFAULT_BUDGET,
     WorkBudget,
     exists_edge_disjoint_hc_exact,
     independence_number_exact,
     is_hamiltonian_exact,
     vertex_connectivity_exact,
 )
-from hamholes.randomlab import (
-    ExperimentConfig,
-    ExperimentReport,
-    SampleRecord,
-    check_P1,
-    check_P2,
-    lemma6_params,
-    m_value,
-    run_experiment,
-    sample_seed,
-)
+from hamholes.randomlab import ExperimentConfig, ExperimentReport, run_experiment
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ALPHA_SIZE_GUARD",
     "BACKEND",
     "BipartiteHole",
     "BipartiteInstance",
@@ -97,7 +60,6 @@ __all__ = [
     "CertificateError",
     "ContractViolationError",
     "CycleSeq",
-    "DEFAULT_BUDGET",
     "DisjointResult",
     "ExperimentConfig",
     "ExperimentReport",
@@ -106,50 +68,27 @@ __all__ = [
     "HamResult",
     "HamholesError",
     "HoleCertificate",
-    "PathState",
-    "SampleRecord",
     "WorkBudget",
     "alpha_tilde_exact",
     "bcbs_to_bhn",
-    "bipartite_graph",
-    "check_P1",
-    "check_P2",
     "check_reduction_equivalence",
-    "complete_graph",
-    "components",
-    "cycle_graph",
-    "disconnected_certificate",
-    "disjoint_union",
     "exists_edge_disjoint_hc_exact",
-    "extend_maximal",
-    "external_neighborhood",
-    "extract_certificate",
-    "fan_example_graph",
     "find_edge_disjoint_hamilton",
     "find_hamilton",
     "generate",
-    "gnp_graph",
     "has_bipartite_hole",
     "independence_number_exact",
     "is_hamiltonian_exact",
-    "lemma6_params",
-    "m_value",
-    "min_degree",
     "parse_certificate",
     "parse_cycle",
     "parse_graph",
     "parse_instance",
-    "path_graph",
-    "petersen_graph",
-    "reopen_cycle",
     "run_experiment",
-    "sample_seed",
     "serialize_certificate",
     "serialize_cycle",
     "serialize_graph",
     "serialize_instance",
     "translate_certificate",
-    "try_close",
     "verify_certificate",
     "vertex_connectivity_exact",
 ]

@@ -299,6 +299,10 @@ def gnp_graph(n: int, p: float, seed: int) -> Graph:
 
 _TOKEN = re.compile(r"[(),]|[^\s(),]+")
 
+# Sub-specs nested deeper than this are refused with ValueError, well before
+# the recursive parser could reach Python's recursion limit.
+SPEC_MAX_DEPTH = 64
+
 
 def generate(spec: str, seed: int | None = None) -> Graph:
     """Build a graph from a family spec string.
@@ -307,16 +311,22 @@ def generate(spec: str, seed: int | None = None) -> Graph:
     ``path N``, ``petersen``, ``fan-example K L``, ``gnp N P`` (requires
     ``seed``).  Composites: ``complement-of (SPEC)`` and
     ``disjoint-union (SPEC) (SPEC)``.  Every ``gnp`` occurrence uses the
-    same ``seed`` argument.
+    same ``seed`` argument.  Sub-specs nest at most ``SPEC_MAX_DEPTH`` (64)
+    levels deep; a deeper spec raises ``ValueError``.
     """
     toks = _TOKEN.findall(spec)
-    g, pos = _parse_spec(toks, 0, seed)
+    g, pos = _parse_spec(toks, 0, seed, 0)
     if pos != len(toks):
         raise ValueError(f"trailing tokens in spec: {' '.join(toks[pos:])}")
     return g
 
 
-def _parse_spec(toks: list[str], pos: int, seed: int | None) -> tuple[Graph, int]:
+def _parse_spec(
+    toks: list[str], pos: int, seed: int | None, depth: int
+) -> tuple[Graph, int]:
+    if depth > SPEC_MAX_DEPTH:
+        raise ValueError(f"family spec nests deeper than {SPEC_MAX_DEPTH} levels")
+
     def number(kind):
         nonlocal pos
         if pos >= len(toks):
@@ -335,7 +345,7 @@ def _parse_spec(toks: list[str], pos: int, seed: int | None) -> tuple[Graph, int
         if pos >= len(toks) or toks[pos] != "(":
             raise ValueError("expected '(' introducing a sub-spec")
         pos += 1
-        sub, pos = _parse_spec(toks, pos, seed)
+        sub, pos = _parse_spec(toks, pos, seed, depth + 1)
         if pos >= len(toks) or toks[pos] != ")":
             raise ValueError("expected ')' closing a sub-spec")
         pos += 1

@@ -7,7 +7,7 @@ import sys
 import pytest
 
 from hamholes.cli import main
-from hamholes.graph import complete_graph, parse_graph, serialize_graph
+from hamholes.graph import SPEC_MAX_DEPTH, complete_graph, parse_graph, serialize_graph
 
 
 def run_cli(*argv):
@@ -51,6 +51,18 @@ def test_gen_missing_parameter_exits_1(capsys):
     assert "seed" in capsys.readouterr().err
     assert run_cli("gen", "--family", "mystery", "--n", "4") == 1
     assert "unknown family" in capsys.readouterr().err
+
+
+def test_gen_deeply_nested_spec_is_one_error_line(capsys):
+    def nested(depth):
+        return "complement-of (" * depth + "complete 3" + ")" * depth
+
+    assert run_cli("gen", "--family", nested(SPEC_MAX_DEPTH)) == 0
+    assert capsys.readouterr().out.startswith("3 ")
+    for depth in (SPEC_MAX_DEPTH + 1, 1200):
+        assert run_cli("gen", "--family", nested(depth)) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: family spec nests deeper than {SPEC_MAX_DEPTH} levels\n"
 
 
 def test_analyze_plain_and_exact(workdir, capsys):

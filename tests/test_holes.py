@@ -3,7 +3,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from corpusutil import random_graphs
@@ -244,6 +244,46 @@ def test_verify_certificate_reports_pair_index():
         verify_certificate(g, HoleCertificate(4, bad_pairs))
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(5, 10),
+    st.sampled_from([0.1, 0.3, 0.5]),
+    st.integers(0, 2**32),
+    st.sampled_from(["swap for a neighbour", "resize", "repeat", "out of range"]),
+    st.data(),
+)
+def test_mutated_certificate_never_verifies(n, p, seed, mutation, data):
+    g = gnp_graph(n, p, seed)
+    k = alpha_tilde_exact(g)
+    cert = _certificate_for(g, k)
+    assert verify_certificate(g, cert) == k
+    assume(cert.pairs)
+    idx = data.draw(st.integers(0, len(cert.pairs) - 1))
+    sides = [list(cert.pairs[idx].s_side), list(cert.pairs[idx].t_side)]
+    which = data.draw(st.integers(0, 1))
+    side, other = sides[which], sides[1 - which]
+    pos = data.draw(st.integers(0, len(side) - 1))
+    if mutation == "swap for a neighbour":
+        swaps = [u for v in other for u in g.neighbors(v)]
+        assume(swaps)
+        side[pos] = data.draw(st.sampled_from(swaps))
+    elif mutation == "resize":
+        if data.draw(st.booleans()):
+            del side[pos]
+        else:
+            side.append(data.draw(st.sampled_from([v for v in range(n) if v not in side])))
+    elif mutation == "repeat":
+        assume(len(side) >= 2)
+        side[pos] = side[pos - 1]
+    else:
+        side[pos] = data.draw(st.integers(n, 2 * n) | st.integers(-n, -1))
+    pairs = list(cert.pairs)
+    pairs[idx] = BipartiteHole(tuple(sorted(sides[0])), tuple(sorted(sides[1])))
+    with pytest.raises(CertificateError) as exc:
+        verify_certificate(g, HoleCertificate(k, tuple(pairs)))
+    assert exc.value.pair_index == idx + 1
+
+
 def test_certificate_round_trip():
     g = petersen_graph()
     c = _certificate_for(g, 4)
@@ -302,10 +342,22 @@ def test_translate_rejects_cycle_edges_absent():
         translate_certificate(res.certificate, [cyc], host)
 
 
+def _bipartite_plus_cycle(a, b, rng):
+    """K(a, b) plus the edges of a random Hamilton cycle on its vertices."""
+    n = a + b
+    order = rng.sample(range(n), n)
+    cycle = {tuple(sorted((order[i - 1], order[i]))) for i in range(n)}
+    return Graph(n, sorted(set(bipartite_graph(a, b).edges()) | cycle))
+
+
 def test_translate_on_dense_random_graphs():
     rng = random.Random(9)
-    for _ in range(12):
-        g = gnp_graph(10, 0.8, seed=rng.randrange(2**30))
+    graphs = [gnp_graph(10, 0.8, seed=rng.randrange(2**30)) for _ in range(12)]
+    # Every G(10, 0.8) draw translates to k = 1, which has no pairs.  On
+    # these, one cycle comes off before the residual fails, so pairs remain.
+    graphs += [_bipartite_plus_cycle(6, 9, rng) for _ in range(6)]
+    checked = 0
+    for g in graphs:
         removed = []
         h = g
         while True:
@@ -316,7 +368,12 @@ def test_translate_on_dense_random_graphs():
             h = h.remove_edges(res.cycle.edges())
         out = translate_certificate(res.certificate, removed, g)
         assert verify_certificate(g, out) == out.k
+        for i, hole in enumerate(out.pairs, start=1):
+            assert (len(hole.s_side), len(hole.t_side)) == (i, out.k - i)
+            assert _is_hole(g, hole.s_side, hole.t_side)
+        checked += len(out.pairs)
         r_hat = len(removed)
         delta = min_degree(g)
         expect = min(max(1, (delta - 2 * r_hat + 1) // (r_hat + 1)), res.certificate.k)
         assert out.k == expect
+    assert checked

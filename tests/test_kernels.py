@@ -1,10 +1,22 @@
 """The pure kernels' search order, pinned, and the compiled kernels against
-the pure ones, bit for bit, where the extension is built."""
+the pure ones, bit for bit: the session builds the shipped ``_speedups.c``
+into a temporary directory wherever a C compiler exists."""
+
+import importlib.util
+import os
+import re
+import shlex
+import shutil
+import subprocess
+import sys
+import sysconfig
+from pathlib import Path
 
 import pytest
 
 from corpusutil import random_graphs
-from hamholes._kernels import BACKEND, _pure
+from hamholes import _kernels
+from hamholes._kernels import _pure
 from hamholes._kernels._pure import EXHAUSTED, FOUND
 from hamholes.errors import BudgetExceededError
 from hamholes.graph import (
@@ -21,12 +33,36 @@ from hamholes.oracle import (
     is_hamiltonian_exact,
 )
 
+ROOT = Path(__file__).resolve().parent.parent
+KERNEL_DIR = ROOT / "src" / "hamholes" / "_kernels"
+SPEEDUPS = "hamholes._kernels._speedups"
 
-@pytest.fixture
-def speedups():
-    return pytest.importorskip(
-        "hamholes._kernels._speedups", reason="compiled backend not built"
+
+def _c_compiler():
+    cc = os.environ.get("CC") or sysconfig.get_config_var("CC") or "cc"
+    return shutil.which(shlex.split(cc)[0])
+
+
+@pytest.fixture(scope="session")
+def speedups(tmp_path_factory):
+    """The compiled backend, built from the shipped ``.c`` by ``setup.py``."""
+    if _c_compiler() is None:
+        pytest.skip("no C compiler to build the compiled backend")
+    out = tmp_path_factory.mktemp("speedups")
+    build = subprocess.run(
+        [sys.executable, "setup.py", "-q", "build_ext",
+         "--build-lib", str(out / "lib"), "--build-temp", str(out / "temp")],
+        cwd=ROOT, capture_output=True, text=True,
     )
+    name = "_speedups" + sysconfig.get_config_var("EXT_SUFFIX")
+    path = out / "lib" / "hamholes" / "_kernels" / name
+    # The extension is optional, so setup.py exits 0 even when its compile fails.
+    if build.returncode or not path.exists():
+        pytest.fail(f"building the extension failed:\n{build.stdout}{build.stderr}")
+    spec = importlib.util.spec_from_file_location(SPEEDUPS, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def _cases():
@@ -168,8 +204,34 @@ def test_long_cycle_needs_no_recursion():
     assert ok and sorted(cycle.order) == list(range(1500))
 
 
-def test_backend_is_compiled_here(speedups):
-    assert BACKEND == "cython"
+class PureKernelCalled(Exception):
+    pass
+
+
+def test_backend_is_compiled_here(speedups, monkeypatch):
+    def refuse(*args):
+        raise PureKernelCalled
+
+    for kernel in ("hole_search", "hamilton_cycle_search", "independence_number"):
+        monkeypatch.setattr(_pure, kernel, refuse)
+    before = _kernels.BACKEND
+    sys.modules[SPEEDUPS] = speedups
+    try:
+        importlib.reload(_kernels)
+        assert _kernels.BACKEND == "cython"
+        # The pure kernels refuse, so these calls return only from the built one.
+        for n in (5, _kernels._NATIVE_MAX_N):
+            adj = list(gnp_graph(n, 0.5, seed=n).adj_bits)
+            _kernels.hole_search(adj, n, 2, 2)
+            _kernels.hamilton_cycle_search(adj, n, 50)
+            _kernels.independence_number(adj, n, 50)
+        n = _kernels._NATIVE_MAX_N + 1
+        with pytest.raises(PureKernelCalled):
+            _kernels.hole_search(list(gnp_graph(n, 0.5, seed=n).adj_bits), n, 2, 2)
+    finally:
+        del sys.modules[SPEEDUPS]
+        importlib.reload(_kernels)
+    assert _kernels.BACKEND == before
 
 
 def test_hole_search_agrees(speedups):
@@ -217,3 +279,16 @@ def test_dispatch_large_n_uses_pure_fallback():
     dense = gnp_graph(70, 0.9, seed=5)
     ok, cycle = is_hamiltonian_exact(dense)
     assert ok and set(cycle.order) == set(range(70))
+
+
+def test_shipped_c_matches_pyx():
+    # Cython quotes each .pyx line it compiles above the C it generated, so
+    # a .c left stale after an edit to the .pyx quotes the old line.
+    pyx = (KERNEL_DIR / "_speedups.pyx").read_text().splitlines()
+    c_text = (KERNEL_DIR / "_speedups.c").read_text()
+    mark = "             # <<<<<<<<<<<<<<"
+    blocks = re.findall(r'/\* "hamholes/_kernels/_speedups\.pyx":(\d+)\n(.*?)\*/', c_text, re.S)
+    assert blocks
+    for line_no, body in blocks:
+        (marked,) = [line for line in body.splitlines() if line.endswith(mark)]
+        assert marked.removeprefix(" * ").removesuffix(mark) == pyx[int(line_no) - 1], line_no
