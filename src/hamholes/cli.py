@@ -21,7 +21,7 @@ from hamholes.errors import (
     ContractViolationError,
     HamholesError,
 )
-from hamholes.graph import generate, min_degree, parse_graph, serialize_graph
+from hamholes.graph import FAMILIES, generate, min_degree, parse_graph, serialize_graph
 from hamholes.hamilton import find_hamilton, parse_cycle, serialize_cycle
 from hamholes.hardness import bcbs_to_bhn, parse_instance
 from hamholes.holes import (
@@ -126,26 +126,15 @@ def _build_parser() -> _Parser:
     return parser
 
 
-_FAMILY_FLAGS = {
-    "complete": ("n",),
-    "cycle": ("n",),
-    "path": ("n",),
-    "bipartite": ("a", "b"),
-    "fan-example": ("k", "l"),
-    "gnp": ("n", "p"),
-    "petersen": (),
-}
-
-
 def _cmd_gen(args) -> int:
     family = args.family.strip()
     if any(ch in family for ch in " (,"):
         spec = family
     else:
-        if family not in _FAMILY_FLAGS:
+        if family not in FAMILIES:
             raise ValueError(f"unknown family {family!r}")
         params = []
-        for flag in _FAMILY_FLAGS[family]:
+        for flag in FAMILIES[family][1]:
             value = getattr(args, flag)
             if value is None:
                 raise ValueError(f"family {family!r} requires --{flag}")

@@ -24,8 +24,8 @@ class DisjointResult:
 
     ``residual_certificate`` refers to g minus all cycle edges;
     ``translated_certificate`` refers to g itself and carries the value
-    m = max(1, floor((delta - 2*r_hat + 1)/(r_hat + 1))) (capped by the
-    residual value), which satisfies m > (delta - 3*r_hat)/(r_hat + 1).
+    m = max(1, floor((delta - 2*r_hat + 1)/(r_hat + 1))), which satisfies
+    m > (delta - 3*r_hat)/(r_hat + 1).
     When extraction stopped early at r_cap, both certificates are the empty
     k = 1 certificate.
     """

@@ -297,6 +297,21 @@ def gnp_graph(n: int, p: float, seed: int) -> Graph:
     return Graph(n, edges)
 
 
+# The atomic families: the name of each one's builder in this module and
+# the parameters it takes, in spec order; the CLI's gen flags carry the same
+# names.  p is a float, every other parameter an int, and gnp also takes
+# generate's seed.  A builder is looked up by name on each call, so a
+# wrapper put on the module's global (as perfbench's tracer does) sees it.
+FAMILIES = {
+    "complete": ("complete_graph", ("n",)),
+    "bipartite": ("bipartite_graph", ("a", "b")),
+    "cycle": ("cycle_graph", ("n",)),
+    "path": ("path_graph", ("n",)),
+    "petersen": ("petersen_graph", ()),
+    "fan-example": ("fan_example_graph", ("k", "l")),
+    "gnp": ("gnp_graph", ("n", "p")),
+}
+
 _TOKEN = re.compile(r"[(),]|[^\s(),]+")
 
 # Sub-specs nested deeper than this are refused with ValueError, well before
@@ -355,22 +370,12 @@ def _parse_spec(
         raise ValueError("empty family spec")
     name = toks[pos]
     pos += 1
-    if name == "complete":
-        return complete_graph(number(int)), pos
-    if name == "bipartite":
-        return bipartite_graph(number(int), number(int)), pos
-    if name == "cycle":
-        return cycle_graph(number(int)), pos
-    if name == "path":
-        return path_graph(number(int)), pos
-    if name == "petersen":
-        return petersen_graph(), pos
-    if name == "fan-example":
-        return fan_example_graph(number(int), number(int)), pos
-    if name == "gnp":
-        n = number(int)
-        p = number(float)
-        return gnp_graph(n, p, seed), pos
+    if name in FAMILIES:
+        builder, params = FAMILIES[name]
+        args = [number(float if param == "p" else int) for param in params]
+        if name == "gnp":
+            args.append(seed)
+        return globals()[builder](*args), pos
     if name == "complement-of":
         return subspec().complement(), pos
     if name == "disjoint-union":

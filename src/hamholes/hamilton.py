@@ -1,7 +1,7 @@
 """Path-rotation Hamiltonicity: a spanning cycle or a hole certificate.
 
 The solver maintains a path, greedily extends it, and tries to close it into
-a cycle using three rewirings (the direct edge, a single flip, a nested
+a cycle using four rewirings (the direct edge, a single flip, a nested
 double flip, and a crossing double flip).  When every rewiring fails on a
 maximal path, the failure itself pins down large bipartite holes: the
 extracted certificate proves alpha_tilde(g) >= min_degree(g) + 1, i.e. the
@@ -25,40 +25,41 @@ from hamholes.holes import (
 )
 
 
-class PathState:
-    """A simple path: distinct vertices, consecutive pairs adjacent.
-
-    ``order`` is the vertex sequence, ``mask`` its membership bitmask.
-    Instances are immutable.
+class _VertexSeq:
+    """What PathState and CycleSeq share: ``order`` is the vertex sequence,
+    ``mask`` its membership bitmask.  Instances are immutable.
     """
 
     __slots__ = ("graph", "order", "mask")
 
-    def __init__(self, graph: Graph, order):
-        order = tuple(order)
-        if not 2 <= len(order) <= graph.n:
-            raise ValueError(f"path length {len(order)} out of range")
+    @staticmethod
+    def _normal(order: tuple[int, ...]) -> tuple[int, ...]:
+        return order
+
+    def _set_checked(self, graph: Graph, order, kind: str, pair_name: str, pairs):
+        """Check range, then repeats, then each (u, v) of ``pairs`` for
+        adjacency, raising ValueError on the first failure; then store."""
         mask = 0
         for v in order:
             if not 0 <= v < graph.n:
                 raise ValueError(f"vertex {v} out of range")
             mask |= 1 << v
         if mask.bit_count() != len(order):
-            raise ValueError("repeated vertex in path")
-        for u, v in zip(order, order[1:]):
+            raise ValueError(f"repeated vertex in {kind}")
+        for u, v in pairs:
             if not (graph.adj_bits[u] >> v) & 1:
-                raise ValueError(f"consecutive vertices {u}, {v} not adjacent")
+                raise ValueError(f"{pair_name} {u}, {v} not adjacent")
         self.graph = graph
-        self.order = order
+        self.order = self._normal(order)
         self.mask = mask
 
     @classmethod
-    def _trusted(cls, graph: Graph, order: tuple[int, ...], mask: int) -> PathState:
-        p = object.__new__(cls)
-        p.graph = graph
-        p.order = order
-        p.mask = mask
-        return p
+    def _trusted(cls, graph: Graph, order: tuple[int, ...], mask: int):
+        seq = object.__new__(cls)
+        seq.graph = graph
+        seq.order = cls._normal(order)
+        seq.mask = mask
+        return seq
 
     def __len__(self) -> int:
         return len(self.order)
@@ -67,7 +68,7 @@ class PathState:
         return iter(self.order)
 
     def __eq__(self, other: object) -> bool:
-        if not isinstance(other, PathState):
+        if type(other) is not type(self):
             return NotImplemented
         return self.graph == other.graph and self.order == other.order
 
@@ -75,82 +76,57 @@ class PathState:
         return hash((self.graph, self.order))
 
     def __repr__(self) -> str:
-        return f"PathState({list(self.order)})"
+        return f"{type(self).__name__}({list(self.order)})"
 
 
-def _canonical(order: tuple[int, ...]) -> tuple[int, ...]:
-    """The rotation and direction of a cycle that CycleSeq stores."""
-    i = order.index(min(order))
-    if order[(i + 1) % len(order)] <= order[i - 1]:
-        return order[i:] + order[:i]
-    return order[i::-1] + order[:i:-1]
+class PathState(_VertexSeq):
+    """A simple path: distinct vertices, consecutive pairs adjacent."""
+
+    __slots__ = ()
+
+    def __init__(self, graph: Graph, order):
+        order = tuple(order)
+        if not 2 <= len(order) <= graph.n:
+            raise ValueError(f"path length {len(order)} out of range")
+        pairs = zip(order, order[1:])
+        self._set_checked(graph, order, "path", "consecutive vertices", pairs)
 
 
-class CycleSeq:
+class CycleSeq(_VertexSeq):
     """A cycle: >= 3 distinct vertices, cyclically consecutive pairs adjacent.
 
     The stored order is canonical -- it starts at the lowest vertex and runs
     toward that vertex's smaller-id neighbor -- so equal cycles compare equal
     no matter which rotation or direction they were built from.
 
-    ``CycleSeq(graph, order)`` checks every vertex and every adjacency and
-    raises ValueError on a bad cycle; it is the constructor for callers and
-    for parsed input.  ``CycleSeq._trusted`` is internal: it canonicalises
-    the order but checks nothing, for cycles the solver has just built from
-    a valid maximal path.
+    ``CycleSeq(graph, order)`` checks every vertex and every adjacency (the
+    wrap-around pair first) and raises ValueError on a bad cycle; it is the
+    constructor for callers and for parsed input.  ``CycleSeq._trusted`` is
+    internal: it canonicalises the order but checks nothing, for cycles the
+    solver has just built from a valid maximal path.
     """
 
-    __slots__ = ("graph", "order", "mask")
+    __slots__ = ()
+
+    @staticmethod
+    def _normal(order: tuple[int, ...]) -> tuple[int, ...]:
+        i = order.index(min(order))
+        if order[(i + 1) % len(order)] <= order[i - 1]:
+            return order[i:] + order[:i]
+        return order[i::-1] + order[:i:-1]
 
     def __init__(self, graph: Graph, order):
         order = tuple(order)
         if len(order) < 3:
             raise ValueError(f"cycle length {len(order)} < 3")
-        mask = 0
-        for v in order:
-            if not 0 <= v < graph.n:
-                raise ValueError(f"vertex {v} out of range")
-            mask |= 1 << v
-        if mask.bit_count() != len(order):
-            raise ValueError("repeated vertex in cycle")
-        for i, v in enumerate(order):
-            u = order[i - 1]
-            if not (graph.adj_bits[u] >> v) & 1:
-                raise ValueError(f"cyclically consecutive {u}, {v} not adjacent")
-        self.graph = graph
-        self.order = _canonical(order)
-        self.mask = mask
-
-    @classmethod
-    def _trusted(cls, graph: Graph, order: tuple[int, ...], mask: int) -> CycleSeq:
-        c = object.__new__(cls)
-        c.graph = graph
-        c.order = _canonical(order)
-        c.mask = mask
-        return c
+        pairs = zip(order[-1:] + order[:-1], order)
+        self._set_checked(graph, order, "cycle", "cyclically consecutive", pairs)
 
     def edges(self) -> list[tuple[int, int]]:
         """The cycle's edges as consecutive pairs, including the wrap-around."""
         return [
             (self.order[i - 1], self.order[i]) for i in range(len(self.order))
         ]
-
-    def __len__(self) -> int:
-        return len(self.order)
-
-    def __iter__(self):
-        return iter(self.order)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, CycleSeq):
-            return NotImplemented
-        return self.graph == other.graph and self.order == other.order
-
-    def __hash__(self) -> int:
-        return hash((self.graph, self.order))
-
-    def __repr__(self) -> str:
-        return f"CycleSeq({list(self.order)})"
 
 
 @dataclass(frozen=True)
@@ -197,8 +173,17 @@ def extend_maximal(g: Graph, p: PathState) -> PathState:
         return PathState._trusted(g, tuple(order), mask)
 
 
-def _closure_masks(g: Graph, order, pos):
-    """Position bitmasks of N(front) and N(back) along the path."""
+def _check_maximal(g: Graph, p: PathState) -> None:
+    adj = g.adj_bits
+    if adj[p.order[0]] & ~p.mask or adj[p.order[-1]] & ~p.mask:
+        raise ValueError("path is not maximal: an endpoint has an outside neighbor")
+
+
+def _closure_masks(g: Graph, order: tuple[int, ...]) -> tuple[int, int]:
+    """Position bitmasks of N(front) and N(back) along a maximal path."""
+    pos = [0] * g.n
+    for i, v in enumerate(order):
+        pos[v] = i
     a_mask = 0
     for w in _bits(g.adj_bits[order[0]]):
         a_mask |= 1 << pos[w]
@@ -235,17 +220,11 @@ def try_close(g: Graph, p: PathState) -> CycleSeq | None:
     m = len(order)
     if m < 3:
         raise ValueError(f"try_close needs a path of length >= 3, got {m}")
+    _check_maximal(g, p)
     adj = g.adj_bits
-    if adj[order[0]] & ~p.mask or adj[order[-1]] & ~p.mask:
-        raise ValueError("path is not maximal: an endpoint has an outside neighbor")
-    f, b = order[0], order[-1]
-    if (adj[f] >> b) & 1:
+    if (adj[order[0]] >> order[-1]) & 1:
         return CycleSeq._trusted(g, order, p.mask)
-
-    pos = [0] * g.n
-    for i, v in enumerate(order):
-        pos[v] = i
-    a_mask, b_mask = _closure_masks(g, order, pos)
+    a_mask, b_mask = _closure_masks(g, order)
 
     # (a): j in A with j-1 in B.
     hit = (a_mask >> 1) & b_mask
@@ -314,20 +293,13 @@ def extract_certificate(g: Graph, p: PathState) -> HoleCertificate:
     """
     _check_graph(g, p.graph, "path")
     order = p.order
-    m = len(order)
-    adj = g.adj_bits
-    if adj[order[0]] & ~p.mask or adj[order[-1]] & ~p.mask:
-        raise ValueError("path is not maximal: an endpoint has an outside neighbor")
-    if m >= 3 and try_close(g, p) is not None:
+    _check_maximal(g, p)
+    if len(order) >= 3 and try_close(g, p) is not None:
         raise ValueError("path is closable; certificate extraction not allowed")
 
-    delta = min_degree(g)
-    k = delta + 1
-    pos = [0] * g.n
-    for i, v in enumerate(order):
-        pos[v] = i
-    front_pos = sorted(pos[w] for w in _bits(adj[order[0]]))
-    back_pos = sorted(pos[w] for w in _bits(adj[order[-1]]))
+    k = min_degree(g) + 1
+    a_mask, b_mask = _closure_masks(g, order)
+    front_pos, back_pos = list(_bits(a_mask)), list(_bits(b_mask))
 
     pairs = []
     for s in range(1, k // 2 + 1):

@@ -180,15 +180,17 @@ def translate_certificate(
 ) -> HoleCertificate:
     """Translate a certificate for g minus some Hamilton cycles back to g.
 
-    With r_hat = len(removed_cycles) and delta = min_degree(g), the output
-    value is k' = max(1, floor((delta - 2*r_hat + 1) / (r_hat + 1))), capped
-    at c.k (with r_hat = 0 nothing is removed and the cap is the only
-    effect).  For each split j <= floor(k'/2) the pair (S_j, T_j) of c
-    survives as (S_j, T_j minus the cycle-neighborhoods of S_j) trimmed to
-    sizes (j, k'-j), keeping lowest-labeled vertices: every vertex has
-    exactly 2 neighbors on each removed cycle, so at least
-    |T_j| - 2*r_hat*j >= k'-j vertices remain, and none of them sees S_j in
-    g.  Shortfalls indicate a caller bug and raise ContractViolationError.
+    With r_hat = len(removed_cycles), delta = min_degree(g) and
+    K = min(delta - 2*r_hat + 1, c.k), the output value is
+    k' = max(1, floor(K / (r_hat + 1))); when c.k >= delta - 2*r_hat + 1,
+    as for the residual certificates of find_edge_disjoint_hamilton, K is
+    delta - 2*r_hat + 1.  For each split j <= floor(k'/2) the pair
+    (S_j, T_j) of c survives as (S_j, T_j minus the cycle-neighborhoods of
+    S_j) trimmed to sizes (j, k'-j), keeping lowest-labeled vertices: every
+    vertex has exactly 2 neighbors on each removed cycle, so at least
+    c.k - j - 2*r_hat*j vertices remain, which is >= k'-j because
+    c.k >= K >= k'(r_hat + 1) and 2j <= k'; none of them sees S_j in g.
+    Shortfalls indicate a caller bug and raise ContractViolationError.
     """
     removed_cycles = list(removed_cycles)
     all_edges = []
@@ -204,7 +206,7 @@ def translate_certificate(
 
     r_hat = len(removed_cycles)
     delta = min_degree(g)
-    k_prime = min(max(1, (delta - 2 * r_hat + 1) // (r_hat + 1)), c.k)
+    k_prime = max(1, min(delta - 2 * r_hat + 1, c.k) // (r_hat + 1))
 
     nbr_masks = []
     for cyc in removed_cycles:

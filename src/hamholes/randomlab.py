@@ -17,8 +17,9 @@ mixing formula they are calibrated by.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from itertools import combinations
+from dataclasses import dataclass, fields
+from itertools import combinations, repeat
+from operator import attrgetter
 
 from hamholes.errors import BudgetExceededError
 from hamholes.graph import Graph, gnp_graph, min_degree
@@ -140,6 +141,22 @@ class SampleRecord:
     violation_lower: bool | None
     violation_upper: bool | None
 
+    @property
+    def no_r_edhc(self) -> bool | None:
+        return _not3(self.has_r_edhc)
+
+
+# The CSV's data columns, in order, and the flags its "# count" lines and
+# ExperimentReport.aggregates count.
+_COLUMNS = tuple(f.name for f in fields(SampleRecord))
+_COUNTED = (
+    "delta_zero",
+    "delta_lt_d",
+    "alpha_gt_2t",
+    "no_r_edhc",
+    "violation_lower",
+    "violation_upper",
+)
 
 _M64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -212,10 +229,6 @@ def _evaluate_sample(cfg: ExperimentConfig, t: int, d: int, idx: int) -> SampleR
     )
 
 
-def _evaluate_star(args) -> SampleRecord:
-    return _evaluate_sample(*args)
-
-
 @dataclass(frozen=True)
 class ExperimentReport:
     config: ExperimentConfig
@@ -233,14 +246,9 @@ class ExperimentReport:
             return true, known
 
         recs = self.records
-        total = len(recs)
-        out: dict[str, object] = {"samples": total}
-        out["delta_zero"] = counted(r.delta_zero for r in recs)
-        out["delta_lt_d"] = counted(r.delta_lt_d for r in recs)
-        out["alpha_gt_2t"] = counted(r.alpha_gt_2t for r in recs)
-        out["no_r_edhc"] = counted(_not3(r.has_r_edhc) for r in recs)
-        out["violation_lower"] = counted(r.violation_lower for r in recs)
-        out["violation_upper"] = counted(r.violation_upper for r in recs)
+        out: dict[str, object] = {"samples": len(recs)}
+        for key in _COUNTED:
+            out[key] = counted(getattr(r, key) for r in recs)
         out["reference_pow"] = (1.0 - self.config.p) ** self.config.n
         return out
 
@@ -252,26 +260,9 @@ class ExperimentReport:
                 return "1" if x else "0"
             return str(x)
 
-        lines = [
-            "sample,delta,delta_zero,alpha_gt_2t,delta_lt_d,"
-            "has_r_edhc,violation_lower,violation_upper"
-        ]
-        for r in self.records:
-            lines.append(
-                ",".join(
-                    cell(x)
-                    for x in (
-                        r.sample,
-                        r.delta,
-                        r.delta_zero,
-                        r.alpha_gt_2t,
-                        r.delta_lt_d,
-                        r.has_r_edhc,
-                        r.violation_lower,
-                        r.violation_upper,
-                    )
-                )
-            )
+        row = attrgetter(*_COLUMNS)
+        lines = [",".join(_COLUMNS)]
+        lines.extend(",".join(map(cell, row(r))) for r in self.records)
         cfg = self.config
         agg = self.aggregates()
         total = agg["samples"]
@@ -279,14 +270,7 @@ class ExperimentReport:
             f"# params: n={cfg.n} p={cfg.p!r} r={cfg.r} samples={cfg.samples}"
             f" seed={cfg.seed} t={self.t} d={self.d}"
         )
-        for key in (
-            "delta_zero",
-            "delta_lt_d",
-            "alpha_gt_2t",
-            "no_r_edhc",
-            "violation_lower",
-            "violation_upper",
-        ):
+        for key in _COUNTED:
             true, known = agg[key]
             lines.append(f"# count {key}: {true}/{total} known={known}")
         true, known = agg["no_r_edhc"]
@@ -312,9 +296,10 @@ def run_experiment(cfg: ExperimentConfig, jobs: int = 1) -> ExperimentReport:
         # Imported here, so that commands without a pool skip loading it.
         from concurrent.futures import ProcessPoolExecutor
 
-        args = [(cfg, t, d, i) for i in range(cfg.samples)]
+        fixed = repeat(cfg), repeat(t), repeat(d)
+        indices = range(cfg.samples)
         chunk = max(1, cfg.samples // (jobs * 8))
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            records = list(pool.map(_evaluate_star, args, chunksize=chunk))
+            records = list(pool.map(_evaluate_sample, *fixed, indices, chunksize=chunk))
         records.sort(key=lambda r: r.sample)
     return ExperimentReport(cfg, t, d, tuple(records))

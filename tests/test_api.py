@@ -2,8 +2,11 @@
 the helpers it does not re-export live."""
 
 import importlib
+import importlib.util
+from pathlib import Path
 
 import hamholes
+from hamholes import _kernels
 
 PUBLIC = {
     "hamholes.graph": ["Graph", "generate", "parse_graph", "serialize_graph"],
@@ -67,3 +70,24 @@ def test_helpers_stay_in_their_submodules():
         mod = importlib.import_module(module)
         for name in group:
             assert hasattr(mod, name), f"{module}.{name}"
+
+
+def test_benchmark_tracer_targets_resolve():
+    # perfbench/tracing.py wraps these names from outside the package; a
+    # rename here would leave the traced benchmark without its spans.
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    assert tracing.TARGETS
+    for module, attr in tracing.TARGETS:
+        owner = importlib.import_module(f"hamholes.{module}")
+        cls_name, _, meth = attr.rpartition(".")
+        if cls_name:
+            # The tracer replaces cls.__dict__[meth], so each class needs its own.
+            assert meth in vars(getattr(owner, cls_name)), f"{module}.{attr}"
+        else:
+            assert callable(getattr(owner, attr)), f"{module}.{attr}"
+    assert hasattr(_kernels, "_native")
+    assert isinstance(_kernels._NATIVE_MAX_N, int)
+    assert hamholes.BACKEND in ("cython", "pure")

@@ -7,7 +7,13 @@ import sys
 import pytest
 
 from hamholes.cli import main
-from hamholes.graph import SPEC_MAX_DEPTH, complete_graph, parse_graph, serialize_graph
+from hamholes.graph import (
+    FAMILIES,
+    SPEC_MAX_DEPTH,
+    complete_graph,
+    parse_graph,
+    serialize_graph,
+)
 
 
 def run_cli(*argv):
@@ -51,6 +57,31 @@ def test_gen_missing_parameter_exits_1(capsys):
     assert "seed" in capsys.readouterr().err
     assert run_cli("gen", "--family", "mystery", "--n", "4") == 1
     assert "unknown family" in capsys.readouterr().err
+
+
+FLAG_VALUES = {"n": "7", "p": "0.5", "a": "2", "b": "3", "k": "4", "l": "1"}
+# Written out, not derived from FAMILIES, so a table that lists a family's
+# parameters out of spec order fails here.
+SPECS = {
+    "complete": "complete 7",
+    "bipartite": "bipartite 2 3",
+    "cycle": "cycle 7",
+    "path": "path 7",
+    "petersen": "petersen",
+    "fan-example": "fan-example 4 1",
+    "gnp": "gnp 7 0.5",
+}
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_gen_flags_and_spec_string_agree(family, capsys):
+    params = FAMILIES[family][1]
+    flags = [a for param in params for a in (f"--{param}", FLAG_VALUES[param])]
+    assert run_cli("gen", "--family", family, *flags, "--seed", "3") == 0
+    by_flags = capsys.readouterr()
+    assert by_flags.err == "" and parse_graph(by_flags.out).n > 0
+    assert run_cli("gen", "--family", SPECS[family], "--seed", "3") == 0
+    assert capsys.readouterr() == by_flags
 
 
 def test_gen_deeply_nested_spec_is_one_error_line(capsys):

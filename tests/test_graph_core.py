@@ -4,8 +4,10 @@ import tracemalloc
 
 import pytest
 
+from hamholes import graph as graph_module
 from hamholes.errors import GraphFormatError
 from hamholes.graph import (
+    FAMILIES,
     Graph,
     bipartite_graph,
     complete_graph,
@@ -182,6 +184,21 @@ def test_generate_atomic_and_composite():
     assert g.n == 7 and g.m == 7
     nested = generate("complement-of (disjoint-union (complete 2) (complete 2))")
     assert nested == bipartite_graph(2, 2)
+
+
+def test_generate_reaches_builders_through_the_module(monkeypatch):
+    # perfbench's tracer replaces the module's globals with wrappers, so a
+    # spec must reach each family's builder through them when it is parsed.
+    values = {"n": "7", "p": "0.5", "a": "2", "b": "3", "k": "4", "l": "1"}
+    for family, (builder, params) in FAMILIES.items():
+        calls = []
+        orig = getattr(graph_module, builder)
+        monkeypatch.setattr(
+            graph_module, builder, lambda *a, _f=orig: calls.append(a) or _f(*a)
+        )
+        spec = " ".join([family] + [values[param] for param in params])
+        assert generate(spec, seed=3) == orig(*calls[0])
+        assert len(calls) == 1
 
 
 def test_generate_errors():

@@ -36,14 +36,14 @@ def test_path_state_validation():
     g = path_graph(4)
     p = PathState(g, (1, 2, 3))
     assert len(p) == 3 and list(p) == [1, 2, 3]
-    with pytest.raises(ValueError):
-        PathState(g, (0,))  # too short
-    with pytest.raises(ValueError):
-        PathState(g, (0, 2))  # not adjacent
-    with pytest.raises(ValueError):
-        PathState(g, (0, 1, 0))  # repeated vertex
-    with pytest.raises(ValueError):
-        PathState(g, (0, 4))  # out of range
+    with pytest.raises(ValueError, match="^path length 1 out of range$"):
+        PathState(g, (0,))
+    with pytest.raises(ValueError, match="^consecutive vertices 0, 2 not adjacent$"):
+        PathState(g, (0, 2))
+    with pytest.raises(ValueError, match="^repeated vertex in path$"):
+        PathState(g, (0, 1, 0))
+    with pytest.raises(ValueError, match="^vertex 4 out of range$"):
+        PathState(g, (0, 4))
 
 
 def test_cycle_seq_validation_and_canonical_form():
@@ -54,10 +54,24 @@ def test_cycle_seq_validation_and_canonical_form():
     reflected = CycleSeq(g, (0, 4, 3, 2, 1))
     assert reflected == base and hash(reflected) == hash(base)
     assert base.order[0] == 0  # canonical start at the least vertex
-    with pytest.raises(ValueError):
-        CycleSeq(g, (0, 1, 2))  # chord (2, 0) missing
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^cyclically consecutive 2, 0 not adjacent$"):
+        CycleSeq(g, (0, 1, 2))
+    # The wrap-around pair is checked first: (4, 0) before (2, 4).
+    with pytest.raises(ValueError, match="^cyclically consecutive 4, 0 not adjacent$"):
+        CycleSeq(cycle_graph(6), (0, 1, 2, 4))
+    with pytest.raises(ValueError, match="^repeated vertex in cycle$"):
+        CycleSeq(g, (0, 1, 1))
+    with pytest.raises(ValueError, match="^cycle length 2 < 3$"):
         CycleSeq(complete_graph(4), (0, 1))
+
+
+def test_path_and_cycle_on_the_same_order_differ():
+    g = complete_graph(4)
+    p, c = PathState(g, (0, 1, 2)), CycleSeq(g, (0, 1, 2))
+    assert p != c and c != p
+    assert p == PathState(g, (0, 1, 2)) and c == CycleSeq(g, (2, 1, 0))
+    assert repr(p) == "PathState([0, 1, 2])"
+    assert repr(c) == "CycleSeq([0, 1, 2])"
 
 
 def test_cycle_edges_cover_wraparound():

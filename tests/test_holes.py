@@ -377,3 +377,27 @@ def test_translate_on_dense_random_graphs():
         expect = min(max(1, (delta - 2 * r_hat + 1) // (r_hat + 1)), res.certificate.k)
         assert out.k == expect
     assert checked
+
+
+def test_translate_certificates_of_partial_extractions():
+    # Certificates for g minus its first r_hat extracted cycles, at every k
+    # up to the residual's hole number.  Below k = delta - 2*r_hat + 1 the
+    # value k' follows c.k, so every split keeps enough survivors; with k'
+    # capped only at c.k, seed 1 at k = 2 raised "split 1: only 0 survivors,
+    # need 1", and 277 of these certificates raised in all.
+    translated = 0
+    for seed in range(200):
+        g = gnp_graph(10, 0.8, seed=seed)
+        delta = min_degree(g)
+        removed, h = [], g
+        while (res := find_hamilton(h)).cycle is not None:
+            removed.append(CycleSeq(g, res.cycle.order))
+            h = h.remove_edges(res.cycle.edges())
+            r_hat = len(removed)
+            for k in range(1, alpha_tilde_exact(h) + 1):
+                out = translate_certificate(_certificate_for(h, k), removed, g)
+                assert verify_certificate(g, out) == out.k
+                assert out.k == max(1, min(delta - 2 * r_hat + 1, k) // (r_hat + 1))
+                assert all(_is_hole(g, p.s_side, p.t_side) for p in out.pairs)
+                translated += 1
+    assert translated > 2000

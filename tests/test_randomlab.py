@@ -204,7 +204,11 @@ def test_csv_layout():
     assert len(data) == 1 + 3
     assert any(l.startswith("# params:") for l in lines)
     assert any(l.startswith("# reference (1-p)^n:") for l in lines)
-    assert sum(1 for l in lines if l.startswith("# count ")) == 6
+    counted = [l.split(":")[0][8:] for l in lines if l.startswith("# count ")]
+    assert counted == [
+        "delta_zero", "delta_lt_d", "alpha_gt_2t", "no_r_edhc",
+        "violation_lower", "violation_upper",
+    ]
     # the aggregate freq line mirrors the counts
     counts = report.aggregates()
     true, known = counts["no_r_edhc"]
