@@ -173,7 +173,12 @@ def extend_maximal(g: Graph, p: PathState) -> PathState:
         return PathState._trusted(g, tuple(order), mask)
 
 
-def _check_maximal(g: Graph, p: PathState) -> None:
+def _check_maximal(g: Graph, p: PathState, caller: str) -> None:
+    """p is g's path, has >= 3 vertices and no outside neighbor at an end."""
+    _check_graph(g, p.graph, "path")
+    m = len(p.order)
+    if m < 3:
+        raise ValueError(f"{caller} needs a path of length >= 3, got {m}")
     adj = g.adj_bits
     if adj[p.order[0]] & ~p.mask or adj[p.order[-1]] & ~p.mask:
         raise ValueError("path is not maximal: an endpoint has an outside neighbor")
@@ -215,16 +220,17 @@ def try_close(g: Graph, p: PathState) -> CycleSeq | None:
     built from a valid maximal path and not re-checked: each rewiring keeps
     the path's vertex set, so its mask is the path's.
     """
-    _check_graph(g, p.graph, "path")
+    _check_maximal(g, p, "try_close")
+    if (g.adj_bits[p.order[0]] >> p.order[-1]) & 1:
+        return CycleSeq._trusted(g, p.order, p.mask)
+    return _rewire(g, p, *_closure_masks(g, p.order))
+
+
+def _rewire(g: Graph, p: PathState, a_mask: int, b_mask: int) -> CycleSeq | None:
+    """try_close's rewirings (a), (b) and (c), on p's closure masks."""
     order = p.order
     m = len(order)
-    if m < 3:
-        raise ValueError(f"try_close needs a path of length >= 3, got {m}")
-    _check_maximal(g, p)
     adj = g.adj_bits
-    if (adj[order[0]] >> order[-1]) & 1:
-        return CycleSeq._trusted(g, order, p.mask)
-    a_mask, b_mask = _closure_masks(g, order)
 
     # (a): j in A with j-1 in B.
     hit = (a_mask >> 1) & b_mask
@@ -281,8 +287,8 @@ def try_close(g: Graph, p: PathState) -> CycleSeq | None:
 def extract_certificate(g: Graph, p: PathState) -> HoleCertificate:
     """Build the alpha_tilde > delta certificate from a failed closure.
 
-    Requires a maximal path whose closure failed (checked).  With
-    k = min_degree(g) + 1, for each split s = 1..floor(k/2), t = k-s, let
+    Requires a maximal path of length >= 3 whose closure failed (checked).
+    With k = min_degree(g) + 1, for each split s = 1..floor(k/2), t = k-s, let
     k_s be the (0-based) position of the s-th neighbor of the front along
     the path.  The four derived sets (predecessors of front-neighbors up to
     k_s; successors of back-neighbors from k_s on; the front plus successors
@@ -291,14 +297,14 @@ def extract_certificate(g: Graph, p: PathState) -> HoleCertificate:
     counting shows |B| >= t or (|D| >= s and |C| >= t).  Every emitted pair
     is re-verified against g before returning.
     """
-    _check_graph(g, p.graph, "path")
+    _check_maximal(g, p, "extract_certificate")
     order = p.order
-    _check_maximal(g, p)
-    if len(order) >= 3 and try_close(g, p) is not None:
+    a_mask, b_mask = _closure_masks(g, order)
+    # (a) at j = 1 is the direct edge, so _rewire alone decides closability.
+    if _rewire(g, p, a_mask, b_mask) is not None:
         raise ValueError("path is closable; certificate extraction not allowed")
 
     k = min_degree(g) + 1
-    a_mask, b_mask = _closure_masks(g, order)
     front_pos, back_pos = list(_bits(a_mask)), list(_bits(b_mask))
 
     pairs = []

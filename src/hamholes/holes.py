@@ -50,29 +50,21 @@ class HoleCertificate:
     pairs: tuple[BipartiteHole, ...]
 
 
-def _budget_guard(n: int, size: int, budget: int) -> None:
-    if 0 <= size <= n and math.comb(n, size) > budget:
-        raise BudgetExceededError(
-            f"instance too large: C({n},{size}) subset probes exceed budget {budget}"
-        )
-
-
-def _hole_side(
-    g: Graph, s: int, t: int, budget: int, guard: bool = True
-) -> int | None:
+def _hole_side(g: Graph, s: int, t: int, budget: int) -> int | None:
     """Whether g has an (s,t)-bipartite-hole, without building a witness.
 
     Returns the kernel's answer: the bitmask of the first candidate set X
-    of size min(s,t), or None when there is no hole.  ``guard=False`` skips
-    the C(n, min(s,t)) budget check, for a caller that has already run it
-    for this side size.
+    of size min(s,t), or None when there is no hole.  Raises
+    BudgetExceededError when C(n, min(s,t)) exceeds the budget.
     """
     n = g.n
     if s + t > n:
         return None
     a, b = (s, t) if s <= t else (t, s)
-    if guard:
-        _budget_guard(n, a, budget)
+    if math.comb(n, a) > budget:
+        raise BudgetExceededError(
+            f"instance too large: C({n},{a}) subset probes exceed budget {budget}"
+        )
     return _kernels.hole_search(g.adj_bits, n, a, b)
 
 
@@ -101,18 +93,30 @@ def has_bipartite_hole(
     return BipartiteHole(tuple(rest[:s]), xs)
 
 
+def alpha_tilde_at_least(g: Graph, k: int, budget: int = DEFAULT_HOLE_BUDGET) -> bool:
+    """Whether alpha_tilde(g) >= k: every split (s, k-s), s <= k/2, has a hole.
+
+    (s,t)- and (t,s)-holes coincide, which covers the splits above k/2, and
+    holes shrink: dropping vertices from the sides of an (s,t)-hole leaves
+    an (s',t')-hole for all positive s' <= s, t' <= t.  So every split of
+    every total <= k has a hole.  k <= 1 always holds.
+    """
+    for s in range(1, k // 2 + 1):
+        if _hole_side(g, s, k - s, budget) is None:
+            return False
+    return True
+
+
 def alpha_tilde_exact(g: Graph, budget: int | None = None) -> int:
-    """Exact bipartite-hole-number by scanning splits in increasing s+t.
+    """Exact bipartite-hole-number: the largest k with alpha_tilde_at_least.
 
     Guarded: without an explicit budget the graph must have n <= 20; passing
     a budget lifts the size guard and bounds each hole search instead.
     Convention: graphs with fewer than 2 vertices have no room for two
-    non-empty sets, so the value is 1.  Only existence is asked, so no
-    witness is built, and each side size s is budget-checked once, at the
-    first total (2s) that uses it.
+    non-empty sets, so the value is 1.  k counts up from 1 and stops at the
+    first total with a hole-free split.  Side s is first asked at total 2s,
+    so a budget trips at the first s with C(n, s) over it, at total 2s.
     """
-    if g.n < 2:
-        return 1
     if budget is None:
         if g.n > ALPHA_SIZE_GUARD:
             raise BudgetExceededError(
@@ -120,21 +124,18 @@ def alpha_tilde_exact(g: Graph, budget: int | None = None) -> int:
                 " (pass an explicit budget to override)"
             )
         budget = DEFAULT_HOLE_BUDGET
-    for total in range(2, g.n + 2):
-        # (s,t)- and (t,s)-holes coincide, so s <= t covers every split.
-        for s in range(1, total // 2 + 1):
-            if _hole_side(g, s, total - s, budget, 2 * s == total) is None:
-                return total - 1
-    raise ContractViolationError("split scan passed total n+1 without an answer")
+    k = 1
+    while alpha_tilde_at_least(g, k + 1, budget):
+        k += 1
+    return k
 
 
 def verify_certificate(g: Graph, c: HoleCertificate) -> int:
     """Check a certificate against g; return c.k or raise CertificateError.
 
     Soundness: a verified certificate has an (i, k-i)-hole for every
-    i = 1..floor(k/2); side swapping covers the splits above k/2 and
-    shrinking sides of any hole yields holes for every split of every total
-    below k, so no total <= k is hole-free and alpha_tilde(g) >= k.
+    i = 1..floor(k/2), which is alpha_tilde_at_least's condition for k, so
+    alpha_tilde(g) >= k.
     """
     if c.k < 1:
         raise CertificateError(f"k must be >= 1, got {c.k}")
@@ -208,24 +209,16 @@ def translate_certificate(
     delta = min_degree(g)
     k_prime = max(1, min(delta - 2 * r_hat + 1, c.k) // (r_hat + 1))
 
-    nbr_masks = []
-    for cyc in removed_cycles:
-        order = list(cyc)
-        arr = [0] * g.n
-        length = len(order)
-        for i, v in enumerate(order):
-            arr[v] = (1 << order[i - 1]) | (1 << order[(i + 1) % length])
-        nbr_masks.append(arr)
-
     pairs = []
     for j in range(1, k_prime // 2 + 1):
         if j > len(c.pairs):
             raise ContractViolationError(f"certificate lacks split {j}")
         hole = c.pairs[j - 1]
+        # c holds in g minus the cycles, so S_j's g-neighbors inside T_j
+        # are exactly its cycle neighbors there.
         removed = 0
         for v in hole.s_side:
-            for arr in nbr_masks:
-                removed |= arr[v]
+            removed |= g.adj_bits[v]
         survivors = [w for w in hole.t_side if not (removed >> w) & 1]
         if len(survivors) < k_prime - j:
             raise ContractViolationError(

@@ -24,13 +24,14 @@ from hamholes._kernels._pure import NodeBudgetExceeded, hamilton_cycles
 from hamholes.errors import BudgetExceededError
 from hamholes.graph import Graph, _bits, components, min_degree
 from hamholes.hamilton import CycleSeq
+from hamholes.holes import DEFAULT_HOLE_BUDGET
 
 
 @dataclass(frozen=True)
 class WorkBudget:
     """Cap on node expansions / subset probes for one oracle invocation."""
 
-    max_probes: int = 10**8
+    max_probes: int = DEFAULT_HOLE_BUDGET
 
     def __post_init__(self):
         if self.max_probes < 1:

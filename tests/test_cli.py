@@ -1,11 +1,16 @@
 """CLI subcommands, file formats, and the exit-code contract."""
 
+import hashlib
 import io
+import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import hamholes
 from hamholes.cli import main
 from hamholes.graph import (
     FAMILIES,
@@ -246,6 +251,27 @@ def test_experiment_csv_deterministic(workdir, capsys):
     assert capsys.readouterr().out == a
 
 
+# The benchmark's two exact-workload experiments, by CSV sha256, with the
+# default budget and with --budget 40.  The budget turns most alpha-tilde
+# and edge-disjoint cells into NA, which no other test pins.
+EXACT_WORKLOAD_CSVS = [
+    (("--n", "10", "--p", "0.3", "--r", "1", "--samples", "3000", "--seed", "11"),
+     "d52146af9940235f5641781867a7ffd23987105b4e61487581950be0b95171f5",
+     "b207b957f96055eddfe1e04c4982597d57a6322667e448bf3998e9a908eb779e"),
+    (("--n", "12", "--p", "0.8", "--r", "2", "--samples", "1000", "--seed", "12"),
+     "3cf530a7444c155929ec855b98aac7b2dc288e53f341533dd7509d0708759a09",
+     "817c12c7f5cd5ad37bdf313dd7b384943e034f9162d00384549dfbcc073277c6"),
+]
+
+
+@pytest.mark.parametrize("config, plain, budget_40", EXACT_WORKLOAD_CSVS)
+def test_exact_workload_csvs_pinned(workdir, config, plain, budget_40):
+    for extra, want in (((), plain), (("--budget", "40"), budget_40)):
+        assert run_cli("experiment", *config, *extra, "--out", "e.csv") == 0
+        got = hashlib.sha256((workdir / "e.csv").read_bytes()).hexdigest()
+        assert got == want, extra
+
+
 def test_experiment_rejects_bad_params(capsys):
     assert run_cli("experiment", "--n", "2", "--p", "0.5") == 1
     assert run_cli("experiment", "--n", "8", "--p", "1.5") == 1
@@ -311,3 +337,44 @@ def test_cli_import_leaves_process_pool_out():
     )
     assert out.returncode == 0, out.stderr
     assert out.stdout == "False\n"
+
+
+def _readme_examples():
+    """README's Examples block as [command, stated exit code, stated last
+    line]; a code is stated by ``# exit N`` on the command's own line (a
+    comment line may not state one), a last line by a ``# ... last line: X``
+    comment right after the command."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    block = readme.read_text().split("### Examples", 1)[1]
+    block = block.split("```sh\n", 1)[1].split("```", 1)[0]
+    examples = []
+    for line in block.splitlines():
+        command, _, comment = (part.strip() for part in line.partition("#"))
+        if command:
+            code = re.match(r"exit (\d+)", comment)
+            examples.append([command, int(code.group(1)) if code else 0, None])
+            continue
+        assert "exit " not in comment, line
+        if last := re.match(r"\.\.\. last line: (.*)", comment):
+            examples[-1][2] = last.group(1)
+    return examples
+
+
+def test_readme_examples_run_as_documented(tmp_path):
+    shim = tmp_path / "bin" / "hamholes"
+    shim.parent.mkdir()
+    shim.write_text(f'#!/bin/sh\nexec "{sys.executable}" -m hamholes.cli "$@"\n')
+    shim.chmod(0o755)
+    src = str(Path(hamholes.__file__).resolve().parents[1])
+    env = dict(os.environ, PATH=f"{shim.parent}{os.pathsep}{os.environ['PATH']}")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    examples = _readme_examples()
+    assert len(examples) == 7
+    assert sum(last is not None for *_, last in examples) == 1
+    for command, code, last_line in examples:
+        out = subprocess.run(
+            command, shell=True, cwd=tmp_path, env=env, capture_output=True, text=True
+        )
+        assert out.returncode == code, (command, out.stderr)
+        if last_line is not None:
+            assert out.stdout.splitlines()[-1] == last_line, command

@@ -8,6 +8,7 @@ from hamholes.graph import (
     Graph,
     bipartite_graph,
     complete_graph,
+    components,
     cycle_graph,
     disjoint_union,
     min_degree,
@@ -166,7 +167,12 @@ def test_try_close_flip_cases_agree_with_naive_search():
             if c is not None:
                 assert set(c.order) == set(range(g.n))
                 assert all(g.has_edge(c.order[i - 1], c.order[i]) for i in range(g.n))
+                with pytest.raises(ValueError, match="closable"):
+                    extract_certificate(g, p)
                 checked += 1
+            else:
+                cert = extract_certificate(g, p)
+                assert verify_certificate(g, cert) == min_degree(g) + 1
     assert checked > 20
 
 
@@ -188,6 +194,36 @@ def test_extract_certificate_rejects_closable_path():
     p = extend_maximal(g, PathState(g, (0, 1)))
     with pytest.raises(ValueError):
         extract_certificate(g, p)
+
+
+def test_extract_certificate_needs_three_vertices():
+    g = complete_graph(2)
+    with pytest.raises(ValueError, match="length >= 3, got 2"):
+        extract_certificate(g, PathState(g, (0, 1)))
+
+
+def test_each_round_closes_once(monkeypatch):
+    # extract_certificate decides closability on its own masks, so a run
+    # that ends in a certificate calls try_close once per extend round.
+    calls = []
+
+    def counting(name, fn):
+        def wrapper(g, p):
+            calls.append(name)
+            return fn(g, p)
+
+        return wrapper
+
+    monkeypatch.setattr(
+        "hamholes.hamilton.extend_maximal", counting("extend", extend_maximal)
+    )
+    monkeypatch.setattr("hamholes.hamilton.try_close", counting("close", try_close))
+    certificates = 0
+    for g in random_graphs(12, 40, seed=8):
+        if len(components(g)) == 1 and find_hamilton(g).certificate is not None:
+            certificates += 1
+    assert certificates
+    assert calls.count("close") == calls.count("extend")
 
 
 def test_disconnected_certificate():

@@ -26,6 +26,7 @@ from hamholes.hamilton import CycleSeq, find_hamilton
 from hamholes.holes import (
     BipartiteHole,
     HoleCertificate,
+    alpha_tilde_at_least,
     alpha_tilde_exact,
     has_bipartite_hole,
     parse_certificate,
@@ -173,6 +174,19 @@ def test_alpha_tilde_matches_definition(n, p, seed, budget):
     assert _outcome(alpha_tilde_exact, g, budget) == _outcome(
         _alpha_tilde_by_definition, g, budget
     )
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 10),
+    st.sampled_from([0.0, 0.2, 0.5, 0.8, 1.0]),
+    st.integers(0, 2**32),
+)
+def test_alpha_tilde_at_least_matches_exact_value(n, p, seed):
+    g = gnp_graph(n, p, seed)
+    value = alpha_tilde_exact(g)
+    for k in range(0, n + 3):
+        assert alpha_tilde_at_least(g, k) == (value >= k)
 
 
 @pytest.mark.parametrize(
