@@ -12,6 +12,7 @@ import re
 from collections import deque
 from collections.abc import Iterable
 from itertools import compress, repeat
+from operator import index
 
 from hamholes.errors import GraphFormatError
 
@@ -31,18 +32,19 @@ class Graph:
     def __init__(self, n: int, edges: Iterable[Edge] = ()):
         if n < 0:
             raise ValueError(f"vertex count must be >= 0, got {n}")
-        stride = (n + 7) // 8
-        rows = [bytearray(stride) for _ in range(n)]
+        # Int rows grow with the edges; nothing of size n * n is reserved.
+        rows = [0] * n
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"vertex out of range in edge ({u}, {v})")
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
-            if (rows[u][v >> 3] >> (v & 7)) & 1:
+            u, v = index(u), index(v)
+            if (rows[u] >> v) & 1:
                 raise ValueError(f"duplicate edge ({u}, {v})")
-            rows[u][v >> 3] |= 1 << (v & 7)
-            rows[v][u >> 3] |= 1 << (u & 7)
-        self._set_rows(n, (int.from_bytes(r, "little") for r in rows))
+            rows[u] |= 1 << v
+            rows[v] |= 1 << u
+        self._set_rows(n, rows)
 
     @classmethod
     def _from_rows(cls, n: int, rows: Iterable[int]) -> Graph:
@@ -290,11 +292,21 @@ def gnp_graph(n: int, p: float, seed: int) -> Graph:
         raise ValueError(f"gnp needs 0 <= p <= 1, got {p}")
     if seed is None:
         raise ValueError("gnp requires a seed")
-    rng = random.Random(seed)
-    edges = [
-        (u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p
-    ]
-    return Graph(n, edges)
+    draw = random.Random(seed).random
+    # The pairs are in range, loop-free and distinct by construction, so
+    # the rows go straight to the trusted constructor: u's row above the
+    # diagonal is accumulated in one int, its bits below were set by the
+    # earlier rows.
+    rows = [0] * n
+    for u in range(n):
+        above = 0
+        bit = 1 << u
+        for v in range(u + 1, n):
+            if draw() < p:
+                above |= 1 << v
+                rows[v] |= bit
+        rows[u] |= above
+    return Graph._from_rows(n, rows)
 
 
 # The atomic families: the name of each one's builder in this module and

@@ -107,15 +107,35 @@ def alpha_tilde_at_least(g: Graph, k: int, budget: int = DEFAULT_HOLE_BUDGET) ->
     return True
 
 
+def _check_scan_budget(g: Graph, budget: int) -> None:
+    """Raise BudgetExceededError exactly where alpha_tilde_exact's scan would.
+
+    The scan first asks side s at total 2s, so it trips at side s*, the
+    least s with C(n, s) > budget (C(n, s) grows up to s = n/2, so
+    2s* <= n), and it gets there exactly when every split (s, 2s* - s),
+    s < s*, has a hole: holes shrink, so those splits cover every smaller
+    total too.  alpha_tilde_at_least(g, 2s*) asks those splits in the same
+    order and trips at s* with the scan's message.  Without an s* no
+    threshold test can trip.  After a return some split (s, 2s* - s),
+    s < s*, has no hole, and neither does (s, k - s) for any k >= 2s*, so
+    no threshold test on g at this budget reaches side s* either.
+    """
+    n = g.n
+    for s in range(1, n // 2 + 1):
+        if math.comb(n, s) > budget:
+            alpha_tilde_at_least(g, 2 * s, budget)
+            return
+
+
 def alpha_tilde_exact(g: Graph, budget: int | None = None) -> int:
     """Exact bipartite-hole-number: the largest k with alpha_tilde_at_least.
 
     Guarded: without an explicit budget the graph must have n <= 20; passing
     a budget lifts the size guard and bounds each hole search instead.
     Convention: graphs with fewer than 2 vertices have no room for two
-    non-empty sets, so the value is 1.  k counts up from 1 and stops at the
-    first total with a hole-free split.  Side s is first asked at total 2s,
-    so a budget trips at the first s with C(n, s) over it, at total 2s.
+    non-empty sets, so the value is 1.  _check_scan_budget first decides
+    whether the budget runs out, and raises if so; then k counts up from 1
+    and stops at the first total with a hole-free split.
     """
     if budget is None:
         if g.n > ALPHA_SIZE_GUARD:
@@ -124,6 +144,7 @@ def alpha_tilde_exact(g: Graph, budget: int | None = None) -> int:
                 " (pass an explicit budget to override)"
             )
         budget = DEFAULT_HOLE_BUDGET
+    _check_scan_budget(g, budget)
     k = 1
     while alpha_tilde_at_least(g, k + 1, budget):
         k += 1

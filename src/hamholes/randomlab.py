@@ -7,7 +7,10 @@ either have a large bipartite hole (alpha_tilde > 2t) or small minimum
 degree (delta < d).  Experiments draw seeded samples, evaluate both
 inclusions exactly where oracles are feasible, and report violation
 counters (zero for a correct implementation) next to the (1-p)^n reference
-floor for P(no r disjoint cycles).
+floor for P(no r disjoint cycles).  The alpha_tilde > 2t column is a yes/no
+threshold test, never the exact value; its NA cells follow the exact scan's
+budget rule, so a cell is NA exactly where alpha_tilde_exact would run out
+of budget on that sample.
 
 Also here: the deterministic expansion properties P1 (|N(S)| >= d|S| for
 all small S) and P2 (no (a,a)-hole at the 1/4130 scale) and the m(n,d)
@@ -27,7 +30,8 @@ from hamholes.holes import (
     ALPHA_SIZE_GUARD,
     DEFAULT_HOLE_BUDGET,
     BipartiteHole,
-    alpha_tilde_exact,
+    _check_scan_budget,
+    alpha_tilde_at_least,
     has_bipartite_hole,
 )
 from hamholes.oracle import WorkBudget, exists_edge_disjoint_hc_exact
@@ -196,6 +200,10 @@ def _or3(x: bool | None, y: bool | None) -> bool | None:
 
 
 def _evaluate_sample(cfg: ExperimentConfig, t: int, d: int, idx: int) -> SampleRecord:
+    """Flags of sample idx.  alpha_tilde > 2t is decided as
+    alpha_tilde_at_least(g, 2t + 1), after _check_scan_budget has applied
+    the exact scan's budget rule, so the column is NA exactly where
+    alpha_tilde_exact would raise BudgetExceededError."""
     g = gnp_graph(cfg.n, cfg.p, sample_seed(cfg.seed, idx))
     delta = min_degree(g)
     delta_zero = delta == 0
@@ -203,10 +211,10 @@ def _evaluate_sample(cfg: ExperimentConfig, t: int, d: int, idx: int) -> SampleR
 
     alpha_gt_2t: bool | None = None
     if cfg.n <= ALPHA_SIZE_GUARD:
+        budget = cfg.oracle_budget.max_probes
         try:
-            alpha_gt_2t = (
-                alpha_tilde_exact(g, cfg.oracle_budget.max_probes) > 2 * t
-            )
+            _check_scan_budget(g, budget)
+            alpha_gt_2t = alpha_tilde_at_least(g, 2 * t + 1, budget)
         except BudgetExceededError:
             pass
 

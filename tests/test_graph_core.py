@@ -1,5 +1,6 @@
 """Graph construction, families, the spec mini-language, and the text format."""
 
+import random
 import tracemalloc
 
 import pytest
@@ -24,6 +25,7 @@ from hamholes.graph import (
     petersen_graph,
     serialize_graph,
 )
+from hamholes.hardness import parse_instance
 
 # ---------------------------------------------------------------------------
 # Graph basics
@@ -169,6 +171,22 @@ def test_gnp_determinism_and_validation():
         gnp_graph(5, 0.5, seed=None)
 
 
+def _gnp_through_graph(n, p, seed):
+    # Reference: one draw per pair in lexicographic order, the edges
+    # through the checked constructor.
+    rng = random.Random(seed)
+    edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+    return Graph(n, edges)
+
+
+@pytest.mark.parametrize("p", [0.0, 0.01, 0.3, 0.5, 1.0])
+def test_gnp_rows_match_the_edge_list_construction(p):
+    for n in range(1, 41):
+        for seed in range(25):
+            got = gnp_graph(n, p, seed)
+            assert got.adj_bits == _gnp_through_graph(n, p, seed).adj_bits, (n, seed)
+
+
 # ---------------------------------------------------------------------------
 # spec mini-language
 
@@ -307,3 +325,20 @@ def test_parse_allocation_follows_edges(text):
         tracemalloc.stop()
     assert (g.n, g.m) == (100000, 1) and g.has_edge(99999, 0)
     assert peak < 64 * 2**20
+
+
+@pytest.mark.parametrize(
+    "build",
+    [lambda: Graph(20_000), lambda: parse_instance("10000 10000 1\n").graph],
+    ids=["Graph", "parse_instance"],
+)
+def test_construction_allocation_follows_edges(build):
+    # 20000 empty rows must not reserve 20000 * 2500 bytes before any edge.
+    tracemalloc.start()
+    try:
+        g = build()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (g.n, g.m) == (20_000, 0)
+    assert peak < 5 * 2**20

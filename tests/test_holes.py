@@ -26,6 +26,7 @@ from hamholes.hamilton import CycleSeq, find_hamilton
 from hamholes.holes import (
     BipartiteHole,
     HoleCertificate,
+    _check_scan_budget,
     alpha_tilde_at_least,
     alpha_tilde_exact,
     has_bipartite_hole,
@@ -34,7 +35,12 @@ from hamholes.holes import (
     translate_certificate,
     verify_certificate,
 )
-from hamholes.oracle import independence_number_exact, vertex_connectivity_exact
+from hamholes.oracle import (
+    WorkBudget,
+    independence_number_exact,
+    vertex_connectivity_exact,
+)
+from hamholes.randomlab import ExperimentConfig, run_experiment
 
 
 def _is_hole(g, s_side, t_side):
@@ -203,6 +209,44 @@ def test_alpha_tilde_budget_trips_at_first_split_over_it(g, budget, split):
         alpha_tilde_exact(g, budget)
     assert str(info.value) == message
     assert _outcome(_alpha_tilde_by_definition, g, budget) == message
+
+
+def _experiment_decision(g, k, budget):
+    # How the experiment asks alpha_tilde >= k: the budget rule, then the
+    # threshold test.
+    _check_scan_budget(g, budget)
+    return alpha_tilde_at_least(g, k, budget)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(1, 10),
+    st.sampled_from([0.0, 0.2, 0.5, 0.8, 1.0]),
+    st.integers(0, 2**32),
+    st.integers(1, 300) | st.integers(1, 10**8),
+)
+def test_experiment_decision_has_budget_parity(n, p, seed, budget):
+    g = gnp_graph(n, p, seed)
+    # Same value, or the same BudgetExceededError text, as the exact scan
+    # and as the scan by definition.
+    exact = _outcome(alpha_tilde_exact, g, budget)
+    by_definition = _outcome(_alpha_tilde_by_definition, g, budget)
+    for k in range(0, n + 3):
+        got = _outcome(_experiment_decision, g, k, budget)
+        for ref in (exact, by_definition):
+            assert got == (ref if isinstance(ref, str) else ref >= k)
+
+
+def test_budget_below_n_trips_every_sample_at_side_one():
+    # C(n, 1) = n > budget, so s* = 1 and no split comes before it.
+    for g in random_graphs(10, 20, seed=5):
+        with pytest.raises(BudgetExceededError) as info:
+            _check_scan_budget(g, 9)
+        assert str(info.value) == (
+            "instance too large: C(10,1) subset probes exceed budget 9"
+        )
+    cfg = ExperimentConfig(10, 0.3, samples=20, seed=5, oracle_budget=WorkBudget(9))
+    assert all(rec.alpha_gt_2t is None for rec in run_experiment(cfg).records)
 
 
 # ---------------------------------------------------------------------------
