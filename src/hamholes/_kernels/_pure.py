@@ -2,16 +2,13 @@
 
 These are the hot inner loops of the package: bipartite-hole search,
 Hamiltonicity backtracking and maximum-independent-set branch and bound.
-A compiled twin lives in ``_speedups.pyx``; the two implementations must
-visit search nodes in exactly the same order so that results, witnesses and
-budget accounting agree bit for bit.  Keep any change synchronized.
+They are the package's only implementation of these searches; the tests
+pin their visit orders and node counts.
 
 One Hamilton DFS, the ``hamilton_cycles`` generator, serves both the
 single-cycle search and the edge-disjoint oracle's enumeration of every
-cycle.  It and ``independence_number`` keep their search paths on explicit
-stacks, so no recursion limit caps the graphs they can search.  Only
-``hole_search`` still recurses, one level per picked vertex, and the
-caller's C(n, a) guard bounds that depth.
+cycle.  Every kernel keeps its search path on an explicit stack, so no
+recursion limit caps the graphs it can search.
 
 All kernels take adjacency as a sequence of per-vertex neighbor bitmasks
 (``adj[v] >> u & 1`` iff ``uv`` is an edge).  Status codes follow one
@@ -36,22 +33,34 @@ def hole_search(adj, n: int, a: int, b: int):
     Returns the bitmask of X, or None when no such subset exists.  The
     caller is responsible for ensuring a + b <= n and for sizing the work
     budget (the search probes at most C(n, a) subsets).
+
+    Depth-first over X in lexicographic order with an explicit stack.  A
+    prefix is cut once fewer than b vertices lie outside its closed
+    neighbourhood, since adding vertices only shrinks that set; the last
+    vertex of X is tested in place, without descending.
     """
-    full = (1 << n) - 1
-
-    def go(start: int, picked: int, xmask: int, closed: int):
-        rest = full & ~closed
-        if rest.bit_count() < b:
-            return None
-        if picked == a:
-            return xmask
-        for v in range(start, n - (a - picked) + 1):
-            hit = go(v + 1, picked + 1, xmask | (1 << v), closed | adj[v] | (1 << v))
-            if hit is not None:
-                return hit
+    if n < b:
         return None
-
-    return go(0, 0, 0, 0)
+    if a == 0:
+        return 0
+    closed = [row | 1 << v for v, row in enumerate(adj)]
+    stack = []  # per open level: (next candidate, xmask, remaining set)
+    start, xmask, rest = 0, 0, (1 << n) - 1
+    while True:
+        # Candidates stop where the rest of X would no longer fit above them.
+        for v in range(start, n - a + len(stack) + 1):
+            left = rest & ~closed[v]
+            if left.bit_count() >= b:
+                break
+        else:
+            if not stack:
+                return None
+            start, xmask, rest = stack.pop()
+            continue
+        if len(stack) == a - 1:
+            return xmask | 1 << v
+        stack.append((v + 1, xmask, rest))
+        start, xmask, rest = v + 1, xmask | 1 << v, left
 
 
 def hamilton_cycles(adj, n: int, counter: list[int], max_nodes: int):
@@ -109,10 +118,10 @@ def hamilton_cycle_search(adj, n: int, max_nodes: int):
     list starting at 0 (None unless status == FOUND), ``nodes`` the number of
     search nodes expanded.  The caller must pre-filter trivial rejections
     (n < 3, minimum degree < 2, disconnected); this routine only backtracks.
-    The compiled twin stops at the first cycle it closes, and that is the
-    first yield: the prune never cuts a prefix of a Hamilton cycle, so a
-    cycle with order[-1] < order[1] would have been closed earlier in its
-    reversed direction, which the ascending order searches first.
+    The first yield is also the first cycle the search closes: the prune
+    never cuts a prefix of a Hamilton cycle, so a cycle with
+    order[-1] < order[1] would have been closed earlier in its reversed
+    direction, which the ascending order searches first.
     """
     counter = [0]
     try:

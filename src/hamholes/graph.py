@@ -435,9 +435,25 @@ def _keyword_header(text: str, keyword: str, name: str):
     return value, lineno, lines[1:]
 
 
+# The most vertices a parsed header may ask for.  A graph costs tens of bytes
+# per vertex before its first edge (neighbour lists, rows, degrees), so a
+# header alone must not decide how much memory a parse takes.
+MAX_PARSED_VERTICES = 10**6
+
+
+def _check_vertex_count(n: int, lineno: int) -> None:
+    """GraphFormatError when a header on line ``lineno`` asks for more than
+    MAX_PARSED_VERTICES vertices; called before any per-vertex allocation."""
+    if n > MAX_PARSED_VERTICES:
+        raise GraphFormatError(
+            f"header asks for more than {MAX_PARSED_VERTICES} vertices", lineno
+        )
+
+
 # The layout serialize_graph writes (plus an optional final newline).  Text
-# in it is parsed in bulk; anything else, and any text that fails a check,
-# goes through the line-by-line loop, the only source of GraphFormatError.
+# in it is parsed in bulk; anything else, and any text that fails an edge
+# check, goes through the line-by-line loop.  The header's size check is the
+# same on both paths, and the canonical header is always line 1.
 _CANONICAL = re.compile(r"[0-9]+ [0-9]+(?:\n[0-9]+ [0-9]+)*\n?", re.ASCII)
 
 
@@ -450,6 +466,7 @@ def _parse_canonical(text: str) -> Graph | None:
     except ValueError:  # a number past the int-to-str digit limit
         return None
     n, m = nums[0], nums[1]
+    _check_vertex_count(n, 1)
     if len(nums) != 2 * m + 2:
         return None
     rows = _edge_rows(n, nums[2::2], nums[3::2])
@@ -479,6 +496,7 @@ def parse_graph(text: str) -> Graph:
             n, m = _ints(fields, "expected header 'n m'", lineno, 2)
             if n < 0 or m < 0:
                 raise GraphFormatError("header counts must be >= 0", lineno)
+            _check_vertex_count(n, lineno)
             header = (n, m)
             continue
         if len(us) == m:

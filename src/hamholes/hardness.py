@@ -14,7 +14,13 @@ import itertools
 from dataclasses import dataclass
 
 from hamholes.errors import BudgetExceededError, GraphFormatError
-from hamholes.graph import Graph, _ints, bipartite_graph, disjoint_union
+from hamholes.graph import (
+    Graph,
+    _check_vertex_count,
+    _ints,
+    bipartite_graph,
+    disjoint_union,
+)
 from hamholes.holes import alpha_tilde_at_least
 from hamholes.oracle import DEFAULT_BUDGET, WorkBudget
 
@@ -112,6 +118,7 @@ def parse_instance(text: str) -> BipartiteInstance:
                 raise GraphFormatError(f"parts must balance, got {a} != {b}", lineno)
             if a < 1 or k < 1:
                 raise GraphFormatError("need a = b >= 1 and k >= 1", lineno)
+            _check_vertex_count(2 * a, lineno)
             header = (a, b, k)
             continue
         u, v = _ints(fields, "expected edge 'u v'", lineno, 2)

@@ -8,11 +8,10 @@ connectivity is found by unit-capacity max-flows (Even's algorithm), one
 probe per augmenting-path search.  None of these routines sit on the main
 algorithms' hot path.
 
-The searches run in ``hamholes._kernels``: the compiled backend when it is
-built and the graph fits one word, the pure one otherwise.  The
-edge-disjoint search walks all Hamilton cycles through the pure kernels'
-one Hamilton DFS, the same search in the same order as the single-cycle
-kernel, so one node budget counts both.
+The searches run in ``hamholes._kernels``.  The edge-disjoint search walks
+all Hamilton cycles through the kernels' one Hamilton DFS, the same search
+in the same order as the single-cycle kernel, so one node budget counts
+both.
 """
 
 from __future__ import annotations

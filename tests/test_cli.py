@@ -127,6 +127,14 @@ def test_analyze_exact_on_a_huge_empty_graph_exits_3(monkeypatch, capsys):
     assert err.startswith("error: instance too large") and err.count("\n") == 1
 
 
+def test_analyze_oversized_header_exits_1(monkeypatch, capsys):
+    monkeypatch.setattr("sys.stdin", io.StringIO("100000000 0\n"))
+    assert run_cli("analyze", "-") == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: line 1: header asks for more than 1000000 vertices\n"
+
+
 def test_analyze_parse_error_exits_1(workdir, capsys):
     (workdir / "bad.txt").write_text("not a graph\n")
     assert run_cli("analyze", "bad.txt") == 1

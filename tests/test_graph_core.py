@@ -342,3 +342,36 @@ def test_construction_allocation_follows_edges(build):
         tracemalloc.stop()
     assert (g.n, g.m) == (20_000, 0)
     assert peak < 5 * 2**20
+
+
+@pytest.mark.parametrize(
+    "parse,text",
+    [
+        (parse_graph, "100000000 0\n"),
+        (parse_graph, "# slow path\n100000000 0\n"),
+        (parse_instance, "50000000 50000000 1\n"),
+    ],
+    ids=["canonical", "slow-path", "parse_instance"],
+)
+def test_oversized_header_is_refused_before_allocation(parse, text):
+    # An empty graph on 10^8 vertices would take gigabytes of rows.
+    tracemalloc.start()
+    try:
+        with pytest.raises(GraphFormatError, match="more than 1000000 vertices"):
+            parse(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * 2**20
+
+
+def test_vertex_limit_is_inclusive(monkeypatch):
+    monkeypatch.setattr(graph_module, "MAX_PARSED_VERTICES", 10)
+    refused = "line {}: header asks for more than 10 vertices"
+    for lineno, text in ((1, "10 1\n0 9\n"), (2, "# slow path\n10 1\n0 9\n")):
+        assert parse_graph(text).n == 10
+        with pytest.raises(GraphFormatError, match=refused.format(lineno)):
+            parse_graph(text.replace("10 1", "11 1"))
+    assert parse_instance("5 5 1\n0 9\n").graph.n == 10
+    with pytest.raises(GraphFormatError, match=refused.format(1)):
+        parse_instance("6 6 1\n0 9\n")

@@ -1,68 +1,31 @@
-"""The pure kernels' search order, pinned, and the compiled kernels against
-the pure ones, bit for bit: the session builds the shipped ``_speedups.c``
-into a temporary directory wherever a C compiler exists."""
+"""The kernels' search orders, pinned, and the hole search against a brute
+force that shares no code with it."""
 
-import importlib.util
-import os
-import re
-import shlex
-import shutil
-import subprocess
-import sys
-import sysconfig
-from pathlib import Path
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from corpusutil import random_graphs
-from hamholes import _kernels
 from hamholes._kernels import _pure
 from hamholes._kernels._pure import EXHAUSTED, FOUND
 from hamholes.errors import BudgetExceededError
 from hamholes.graph import (
+    Graph,
     bipartite_graph,
     complete_graph,
     cycle_graph,
     gnp_graph,
     petersen_graph,
 )
+from hamholes.holes import BipartiteHole, has_bipartite_hole
 from hamholes.oracle import (
     DEFAULT_BUDGET,
     WorkBudget,
     exists_edge_disjoint_hc_exact,
     is_hamiltonian_exact,
 )
-
-ROOT = Path(__file__).resolve().parent.parent
-KERNEL_DIR = ROOT / "src" / "hamholes" / "_kernels"
-SPEEDUPS = "hamholes._kernels._speedups"
-
-
-def _c_compiler():
-    cc = os.environ.get("CC") or sysconfig.get_config_var("CC") or "cc"
-    return shutil.which(shlex.split(cc)[0])
-
-
-@pytest.fixture(scope="session")
-def speedups(tmp_path_factory):
-    """The compiled backend, built from the shipped ``.c`` by ``setup.py``."""
-    if _c_compiler() is None:
-        pytest.skip("no C compiler to build the compiled backend")
-    out = tmp_path_factory.mktemp("speedups")
-    build = subprocess.run(
-        [sys.executable, "setup.py", "-q", "build_ext",
-         "--build-lib", str(out / "lib"), "--build-temp", str(out / "temp")],
-        cwd=ROOT, capture_output=True, text=True,
-    )
-    name = "_speedups" + sysconfig.get_config_var("EXT_SUFFIX")
-    path = out / "lib" / "hamholes" / "_kernels" / name
-    # The extension is optional, so setup.py exits 0 even when its compile fails.
-    if build.returncode or not path.exists():
-        pytest.fail(f"building the extension failed:\n{build.stdout}{build.stderr}")
-    spec = importlib.util.spec_from_file_location(SPEEDUPS, path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 def _cases():
@@ -204,91 +167,57 @@ def test_long_cycle_needs_no_recursion():
     assert ok and sorted(cycle.order) == list(range(1500))
 
 
-class PureKernelCalled(Exception):
-    pass
+def _first_holes(g, a):
+    """For each b, the first a-subset X of ``combinations(range(n), a)``
+    with |V \\ (X ∪ N(X))| >= b, as a bitmask; b runs over 0..n - a."""
+    n = g.n
+    firsts = {}
+    for x in combinations(range(n), a):
+        covered = set(x).union(*map(g.neighbors, x))
+        for b in range(n - len(covered) + 1):
+            firsts.setdefault(b, sum(1 << v for v in x))
+    return [firsts.get(b) for b in range(n - a + 1)]
 
 
-def test_backend_is_compiled_here(speedups, monkeypatch):
-    def refuse(*args):
-        raise PureKernelCalled
-
-    for kernel in ("hole_search", "hamilton_cycle_search", "independence_number"):
-        monkeypatch.setattr(_pure, kernel, refuse)
-    before = _kernels.BACKEND
-    sys.modules[SPEEDUPS] = speedups
-    try:
-        importlib.reload(_kernels)
-        assert _kernels.BACKEND == "cython"
-        # The pure kernels refuse, so these calls return only from the built one.
-        for n in (5, _kernels._NATIVE_MAX_N):
-            adj = list(gnp_graph(n, 0.5, seed=n).adj_bits)
-            _kernels.hole_search(adj, n, 2, 2)
-            _kernels.hamilton_cycle_search(adj, n, 50)
-            _kernels.independence_number(adj, n, 50)
-        n = _kernels._NATIVE_MAX_N + 1
-        with pytest.raises(PureKernelCalled):
-            _kernels.hole_search(list(gnp_graph(n, 0.5, seed=n).adj_bits), n, 2, 2)
-    finally:
-        del sys.modules[SPEEDUPS]
-        importlib.reload(_kernels)
-    assert _kernels.BACKEND == before
+def _assert_hole_search_matches(g, a):
+    adj = list(g.adj_bits)
+    for b, want in enumerate(_first_holes(g, a)):
+        assert _pure.hole_search(adj, g.n, a, b) == want, (g, a, b)
 
 
-def test_hole_search_agrees(speedups):
+def test_hole_search_matches_brute_force():
     for g in _cases():
-        adj = list(g.adj_bits)
-        for a in range(1, 4):
-            for b in range(1, 5):
-                if a + b > g.n:
-                    continue
-                got_p = _pure.hole_search(adj, g.n, a, b)
-                got_c = speedups.hole_search(adj, g.n, a, b)
-                assert got_p == got_c, (g, a, b)
+        for a in range(min(3, g.n) + 1):
+            _assert_hole_search_matches(g, a)
 
 
-def test_hamilton_search_agrees(speedups):
-    for g in _cases():
-        adj = list(g.adj_bits)
-        for budget in (10**7, 25, 3):
-            got_p = _pure.hamilton_cycle_search(adj, g.n, budget)
-            got_c = speedups.hamilton_cycle_search(adj, g.n, budget)
-            assert got_p == got_c, (g, budget)
+@st.composite
+def small_graphs(draw):
+    n = draw(st.integers(1, 12))
+    pairs = list(combinations(range(n), 2))
+    flags = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return Graph(n, [pair for pair, on in zip(pairs, flags) if on])
 
 
-def test_independence_agrees(speedups):
-    for g in _cases():
-        adj = list(g.adj_bits)
-        for budget in (10**7, 20, 2):
-            got_p = _pure.independence_number(adj, g.n, budget)
-            got_c = speedups.independence_number(adj, g.n, budget)
-            assert got_p == got_c, (g, budget)
+@settings(max_examples=200, deadline=None)
+@given(small_graphs())
+def test_hole_search_matches_brute_force_on_every_split(g):
+    for a in range(g.n + 1):
+        _assert_hole_search_matches(g, a)
 
 
-def test_status_codes_share_values(speedups):
-    for name in ("FOUND", "EXHAUSTED", "OVER_BUDGET"):
-        assert getattr(_pure, name) == getattr(speedups, name)
+def test_deep_hole_search_needs_no_recursion():
+    # X has 1200 vertices, so a search with one frame per picked vertex
+    # would pass the interpreter's recursion limit.
+    hole = has_bipartite_hole(Graph(2400), 1200, 1200, budget=10**1000)
+    assert hole == BipartiteHole(tuple(range(1200)), tuple(range(1200, 2400)))
 
 
-def test_dispatch_large_n_uses_pure_fallback():
-    # words wider than 64 bits only exist on the pure path; the dispatcher
-    # must still answer correctly there
-    from hamholes.holes import has_bipartite_hole
-
+def test_searches_on_70_vertices():
+    # Adjacency rows wider than a machine word.
     g = gnp_graph(70, 0.3, seed=4)
-    assert has_bipartite_hole(g, 1, 1) is not None or g.m == 70 * 69 // 2
+    for a in (1, 2):
+        _assert_hole_search_matches(g, a)
     dense = gnp_graph(70, 0.9, seed=5)
     ok, cycle = is_hamiltonian_exact(dense)
     assert ok and set(cycle.order) == set(range(70))
-
-
-def test_shipped_c_matches_pyx():
-    # Cython quotes each .pyx line it compiles above the C it generated, so
-    # a .c left stale after an edit to the .pyx quotes the old line.
-    pyx = (KERNEL_DIR / "_speedups.pyx").read_text().splitlines()
-    c_text = (KERNEL_DIR / "_speedups.c").read_text()
-    mark = "             # <<<<<<<<<<<<<<"
-    blocks = re.findall(r'/\* "hamholes/_kernels/_speedups\.pyx":(\d+)\n(.*?)\*/', c_text, re.S)
-    assert blocks
-    for line_no, body in blocks:
-        (marked,) = [line for line in body.splitlines() if line.endswith(mark)]
-        assert marked.removeprefix(" * ").removesuffix(mark) == pyx[int(line_no) - 1], line_no

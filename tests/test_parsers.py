@@ -10,9 +10,10 @@ from hamholes.hamilton import parse_cycle
 from hamholes.hardness import parse_instance
 from hamholes.holes import parse_certificate
 
-# Every int token is at most 64 and whitespace always separates tokens, so
-# no header asks for more than 64 vertices: Graph(n) reserves memory per
-# vertex before it reads an edge.
+# Int tokens stay small, so that sides balance and edges fall in range often
+# enough to reach the later checks, and so that no drawn header builds a big
+# graph (one at the parsers' vertex limit takes about a second).  Headers
+# past that limit come from the @examples below.
 INTS = st.integers(-3, 64).map(str)
 WORDS = st.sampled_from(["#", "|", "cycle", "alpha-tilde-ge", "x"])
 SPACES = st.sampled_from([" ", "  ", "\t"])
@@ -54,6 +55,10 @@ PARSERS = [
 # GraphFormatError: a repeated instance edge and an invalid cycle.
 @example("1 1 1\n0 1\n0 1\n")
 @example("cycle 3\n0 1 9\n")
+# Headers past the vertex limit, refused before any per-vertex allocation.
+@example("100000000 0\n")
+@example("# comment\n100000000 0\n")
+@example("50000000 50000000 1\n")
 def test_parsers_raise_only_graph_format_error(text):
     for parse in PARSERS:
         try:
