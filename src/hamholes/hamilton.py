@@ -15,6 +15,7 @@ spell out interval endpoints where off-by-one matters.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 
 from hamholes.errors import ContractViolationError, GraphFormatError
 from hamholes.graph import Graph, _bits, _ints, _keyword_header, components, min_degree
@@ -185,16 +186,20 @@ def _check_maximal(g: Graph, p: PathState, caller: str) -> None:
 
 
 def _closure_masks(g: Graph, order: tuple[int, ...]) -> tuple[int, int]:
-    """Position bitmasks of N(front) and N(back) along a maximal path."""
-    pos = [0] * g.n
-    for i, v in enumerate(order):
-        pos[v] = i
-    a_mask = 0
-    for w in _bits(g.adj_bits[order[0]]):
-        a_mask |= 1 << pos[w]
-    b_mask = 0
-    for w in _bits(g.adj_bits[order[-1]]):
-        b_mask |= 1 << pos[w]
+    """Position bitmasks of N(front) and N(back) along a maximal path.
+
+    Bit i of each mask is set iff order[i] is adjacent to that endpoint.
+    bin() lists a row's bits high to low; reversed and padded to n it flags
+    each vertex by id, and one permutation puts the flags in reversed path
+    order, which int(., 2) reads with order[0] as the low bit.  Cost: O(n)
+    C-level string work per endpoint and no per-vertex Python loop.
+    """
+    n = g.n
+    backwards = itemgetter(*order[::-1])
+    a_mask, b_mask = (
+        int("".join(backwards(bin(g.adj_bits[v])[:1:-1].ljust(n, "0"))), 2)
+        for v in (order[0], order[-1])
+    )
     return a_mask, b_mask
 
 
@@ -215,8 +220,10 @@ def try_close(g: Graph, p: PathState) -> CycleSeq | None:
       order[i] in N(f), order[j] in N(b), order[i+1] adjacent to order[j+1].
 
     Both endpoint neighborhoods lie on the path (maximality is required and
-    checked), so one pass over position masks realizes every split at once;
-    cost is O(n) big-int word operations per N(f) position.  The cycle is
+    checked), so one pass over position masks realizes every split at once.
+    Building the two masks costs O(n) C-level string operations (see
+    _closure_masks); the search then costs O(n) big-int word operations per
+    N(f) position.  The cycle is
     built from a valid maximal path and not re-checked: each rewiring keeps
     the path's vertex set, so its mask is the path's.
     """

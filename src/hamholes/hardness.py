@@ -24,6 +24,12 @@ from hamholes.graph import (
 from hamholes.holes import alpha_tilde_at_least
 from hamholes.oracle import DEFAULT_BUDGET, WorkBudget
 
+# Most edges bcbs_to_bhn will build.  The image is dense (the complement of a
+# sparse graph), and writing it out holds about 80 bytes per edge, so the
+# limit keeps ``hamholes reduce`` under about 400 MB; the header check of
+# parse_instance alone would still admit images of 10^12 edges.
+MAX_IMAGE_EDGES = 5 * 10**6
+
 
 @dataclass(frozen=True)
 class BipartiteInstance:
@@ -51,10 +57,19 @@ def bcbs_to_bhn(inst: BipartiteInstance) -> Graph:
     """Image graph: complement of (G disjoint-union K_{k-1,2k}).
 
     Gadget vertices are labeled after G's, the size-(k-1) part first, so the
-    construction is byte-reproducible.  The image has |V(G)| + 3k - 1
-    vertices; with k = 1 the gadget is just two isolated vertices.
+    construction is byte-reproducible.  The image has N = |V(G)| + 3k - 1
+    vertices and C(N, 2) - |E(G)| - 2k(k-1) edges; with k = 1 the gadget is
+    just two isolated vertices.  ValueError, before anything is built, when
+    that edge count exceeds MAX_IMAGE_EDGES.
     """
     k = inst.k
+    n = inst.graph.n + 3 * k - 1
+    edges = n * (n - 1) // 2 - inst.graph.m - 2 * k * (k - 1)
+    if edges > MAX_IMAGE_EDGES:
+        raise ValueError(
+            f"reduction image would have {edges} edges,"
+            f" more than {MAX_IMAGE_EDGES}"
+        )
     gadget = bipartite_graph(k - 1, 2 * k) if k > 1 else Graph(2)
     return disjoint_union(inst.graph, gadget).complement()
 

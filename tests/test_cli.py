@@ -248,6 +248,18 @@ def test_reduce_bad_instance_exits_1(workdir, capsys):
     assert run_cli("reduce", "inst.txt") == 1
 
 
+def test_reduce_oversized_image_exits_1(monkeypatch, capsys):
+    # The header is inside the vertex limit; the image is not inside the
+    # edge limit.
+    monkeypatch.setattr("sys.stdin", io.StringIO("500000 500000 1\n"))
+    assert run_cli("reduce", "-") == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (
+        "error: reduction image would have 500001500001 edges, more than 5000000\n"
+    )
+
+
 def test_experiment_csv_deterministic(workdir, capsys):
     args = ("experiment", "--n", "8", "--p", "0.5", "--samples", "5", "--seed", "3")
     assert run_cli(*args, "--out", "a.csv") == 0

@@ -1,6 +1,10 @@
 """Path/cycle states, the three closure flips, and the find_hamilton loop."""
 
+import random
+
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from corpusutil import random_graphs
 from hamholes.errors import ContractViolationError, GraphFormatError
@@ -18,6 +22,7 @@ from hamholes.graph import (
 from hamholes.hamilton import (
     CycleSeq,
     PathState,
+    _closure_masks,
     disconnected_certificate,
     extend_maximal,
     extract_certificate,
@@ -125,6 +130,57 @@ def test_try_close_requires_maximal_path():
         try_close(g, PathState(g, (0, 1, 2)))
 
 
+def _assert_masks_match_definition(g, edges, order):
+    # Bit i of each mask is set iff order[i] is adjacent to that endpoint,
+    # read off the test's own edge set.
+    adjacent = {(u, v) for u, v in edges} | {(v, u) for u, v in edges}
+    want = tuple(
+        sum(1 << i for i, v in enumerate(order) if (end, v) in adjacent)
+        for end in (order[0], order[-1])
+    )
+    assert _closure_masks(g, order) == want
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.integers(3, 60),
+    p=st.floats(0.02, 1.0),
+    seed=st.integers(0, 2**32),
+    starts=st.lists(st.integers(0, 10**6), min_size=1, max_size=4),
+)
+@example(n=3, p=1.0, seed=0, starts=[0])  # a triangle: back adjacent to front
+def test_closure_masks_match_definition(n, p, seed, starts):
+    rng = random.Random(seed)
+    edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+    if not edges:
+        return
+    g = Graph(n, edges)
+    for start in starts:
+        u, v = edges[start % len(edges)]
+        order = extend_maximal(g, PathState(g, (u, v))).order
+        _assert_masks_match_definition(g, edges, order)
+
+
+def test_closure_masks_at_the_edges_of_the_rows():
+    # A front whose neighbour is vertex n - 1 (its row needs no padding) and
+    # a front whose highest neighbour is low (its row needs padding to n);
+    # spanning and non-spanning maximal paths; a back adjacent to the front.
+    cases = [
+        (5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)], (0, 1, 2, 3, 4)),
+        (5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 2)], (0, 1, 2, 3, 4)),
+        (5, [(0, 4), (4, 2), (2, 1), (0, 2)], (0, 4, 2, 1)),
+        (6, [(0, 4), (0, 1), (1, 4), (1, 2), (2, 3), (0, 2), (1, 3)], (4, 0, 1, 2, 3)),
+        (4, [(0, 1), (1, 2), (0, 2)], (0, 1, 2)),
+    ]
+    for n, edges, order in cases:
+        g = Graph(n, edges)
+        p = PathState(g, order)
+        assert extend_maximal(g, p) == p  # maximal as given
+        _assert_masks_match_definition(g, edges, order)
+    g = Graph(5, cases[0][1])
+    assert _closure_masks(g, (0, 1, 2, 3, 4)) == (0b10010, 0b01001)
+
+
 def test_try_close_flip_cases_agree_with_naive_search():
     # cross-check against brute force: whenever some single or double flip
     # closes a maximal path, try_close must close it too (and vice versa)
@@ -156,24 +212,31 @@ def test_try_close_flip_cases_agree_with_naive_search():
                     return True
         return False
 
-    checked = 0
+    # Spanning and non-spanning maximal paths alike: on the latter the
+    # off-path vertices must not reach the closure masks.
+    closed = {True: 0, False: 0}
+    stuck = {True: 0, False: 0}
     for g in random_graphs(8, 60, seed=13):
         for u, v in itertools.islice(g.edges(), 3):
             p = extend_maximal(g, PathState(g, (u, v)))
-            if len(p) != g.n:
-                continue
+            if len(p) < 3:
+                continue  # an isolated edge: no closure to check
+            spanning = len(p) == g.n
             c = try_close(g, p)
             assert (c is not None) == naive_closes(g, p.order)
             if c is not None:
-                assert set(c.order) == set(range(g.n))
-                assert all(g.has_edge(c.order[i - 1], c.order[i]) for i in range(g.n))
+                assert len(c) == len(p) and set(c.order) == set(p.order)
+                assert all(
+                    g.has_edge(c.order[i - 1], c.order[i]) for i in range(len(c))
+                )
                 with pytest.raises(ValueError, match="closable"):
                     extract_certificate(g, p)
-                checked += 1
+                closed[spanning] += 1
             else:
                 cert = extract_certificate(g, p)
                 assert verify_certificate(g, cert) == min_degree(g) + 1
-    assert checked > 20
+                stuck[spanning] += 1
+    assert closed[True] > 20 and closed[False] > 0 and stuck[False] > 0
 
 
 # ---------------------------------------------------------------------------

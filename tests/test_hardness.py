@@ -2,9 +2,11 @@
 
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
+from hamholes import hardness
 from hamholes.errors import GraphFormatError
 from hamholes.graph import Graph
 from hamholes.hardness import (
@@ -78,6 +80,34 @@ def test_image_shape_k1():
     inst = _instance(2, 1, [(0, 2)])
     img = bcbs_to_bhn(inst)
     assert img.n == 4 + 2  # gadget on 3k - 1 = 2 vertices
+
+
+def test_image_edge_limit_is_inclusive(monkeypatch):
+    inst = _instance(2, 2, [(0, 2), (0, 3), (1, 2)])
+    # N = 9 vertices: C(9, 2) = 36 pairs, less 3 instance and 4 gadget edges.
+    assert bcbs_to_bhn(inst).m == 29
+    monkeypatch.setattr(hardness, "MAX_IMAGE_EDGES", 29)
+    assert bcbs_to_bhn(inst).m == 29
+    monkeypatch.setattr(hardness, "MAX_IMAGE_EDGES", 28)
+    with pytest.raises(ValueError, match="^reduction image would have 29 edges"):
+        bcbs_to_bhn(inst)
+
+
+@pytest.mark.parametrize(
+    "text", ["5000 5000 1\n", "1 1 1000000000\n"], ids=["wide", "large-k"]
+)
+def test_oversized_image_is_refused_before_allocation(text):
+    # A complete image on 10^4 vertices, or a gadget K_{k-1,2k} with
+    # k = 10^9, would take gigabytes.
+    tracemalloc.start()
+    try:
+        inst = parse_instance(text)
+        with pytest.raises(ValueError, match="more than 5000000$"):
+            bcbs_to_bhn(inst)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * 2**20
 
 
 def test_gadget_side_always_has_holes():
