@@ -10,16 +10,14 @@ alpha_tilde > (delta - 3*r_hat)/(r_hat + 1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from hamholes._record import Record
 from hamholes.errors import ContractViolationError
 from hamholes.graph import Graph, min_degree
 from hamholes.hamilton import CycleSeq, find_hamilton
 from hamholes.holes import HoleCertificate, translate_certificate
 
 
-@dataclass(frozen=True)
-class DisjointResult:
+class DisjointResult(Record):
     """r_hat pairwise edge-disjoint Hamilton cycles plus two certificates.
 
     ``residual_certificate`` refers to g minus all cycle edges;

@@ -528,6 +528,8 @@ def serialize_graph(g: Graph) -> str:
     lines = [f"{g.n} {g.m}"]
     for u, row in enumerate(g.adj_bits):
         above = row >> (u + 1)
+        if not above:
+            continue
         if 32 * above.bit_count() < above.bit_length():
             # Sparse row: walk its set bits.
             vs = map(names.__getitem__, map((u + 1).__add__, _bits(above)))
@@ -536,5 +538,7 @@ def serialize_graph(g: Graph) -> str:
             # flag the names from u+1 on.
             flags = bin(above)[:1:-1].encode().translate(_FLAGS)
             vs = compress(names[u + 1 : u + 1 + len(flags)], flags)
-        lines.extend(map(f"{u} ".__add__, vs))
+        # One string per row, not per edge: the edge strings live only
+        # while their row is joined.
+        lines.append("\n".join(map(f"{u} ".__add__, vs)))
     return "\n".join(lines)

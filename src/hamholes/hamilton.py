@@ -14,9 +14,9 @@ spell out interval endpoints where off-by-one matters.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import itemgetter
 
+from hamholes._record import Record
 from hamholes.errors import ContractViolationError, GraphFormatError
 from hamholes.graph import Graph, _bits, _ints, _keyword_header, components, min_degree
 from hamholes.holes import (
@@ -130,8 +130,7 @@ class CycleSeq(_VertexSeq):
         ]
 
 
-@dataclass(frozen=True)
-class HamResult:
+class HamResult(Record):
     """Either a spanning cycle or a certificate that alpha_tilde > delta."""
 
     cycle: CycleSeq | None = None

@@ -11,8 +11,8 @@ graph and cross-checks the biconditional by brute force on small instances.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
+from hamholes._record import Record
 from hamholes.errors import BudgetExceededError, GraphFormatError
 from hamholes.graph import (
     Graph,
@@ -25,14 +25,14 @@ from hamholes.holes import alpha_tilde_at_least
 from hamholes.oracle import DEFAULT_BUDGET, WorkBudget
 
 # Most edges bcbs_to_bhn will build.  The image is dense (the complement of a
-# sparse graph), and writing it out holds about 80 bytes per edge, so the
-# limit keeps ``hamholes reduce`` under about 400 MB; the header check of
-# parse_instance alone would still admit images of 10^12 edges.
+# sparse graph), and writing it out holds about 25 bytes per edge (the text,
+# its rows and one copy), so the limit keeps ``hamholes reduce`` under about
+# 150 MB; the header check of parse_instance alone would still admit images
+# of 10^12 edges.
 MAX_IMAGE_EDGES = 5 * 10**6
 
 
-@dataclass(frozen=True)
-class BipartiteInstance:
+class BipartiteInstance(Record):
     """Bipartite graph with parts A = 0..a-1, B = a..2a-1, plus parameter k."""
 
     graph: Graph

@@ -10,9 +10,9 @@ it is a polynomial-time proof that alpha_tilde(g) >= k.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from hamholes import _kernels
+from hamholes._record import Record
 from hamholes.errors import (
     BudgetExceededError,
     CertificateError,
@@ -25,8 +25,7 @@ DEFAULT_HOLE_BUDGET = 10**8
 ALPHA_SIZE_GUARD = 20
 
 
-@dataclass(frozen=True)
-class BipartiteHole:
+class BipartiteHole(Record):
     """Witness pair (S, T): disjoint, non-empty, no edge between the sides.
 
     Vertex ids inside each side are kept ascending.  Validity is relative to
@@ -38,8 +37,7 @@ class BipartiteHole:
     t_side: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class HoleCertificate:
+class HoleCertificate(Record):
     """Claim that alpha_tilde(g) >= k, backed by one hole per split.
 
     ``pairs[i-1]`` must be an (i, k-i)-hole for i = 1..floor(k/2).  The empty

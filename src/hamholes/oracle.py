@@ -16,18 +16,16 @@ both.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from hamholes import _kernels
 from hamholes._kernels._pure import NodeBudgetExceeded, hamilton_cycles
+from hamholes._record import Record
 from hamholes.errors import BudgetExceededError
 from hamholes.graph import Graph, _bits, components, min_degree
 from hamholes.hamilton import CycleSeq
 from hamholes.holes import DEFAULT_HOLE_BUDGET
 
 
-@dataclass(frozen=True)
-class WorkBudget:
+class WorkBudget(Record):
     """Cap on node expansions / subset probes for one oracle invocation."""
 
     max_probes: int = DEFAULT_HOLE_BUDGET

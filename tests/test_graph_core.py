@@ -283,6 +283,20 @@ def test_serialize_layout():
     assert text == "3 2\n0 1\n0 2"  # header, then lexicographic edges
 
 
+def test_serialize_allocation_follows_text():
+    # About 122k edges and 0.94 MB of text: one string per edge would peak
+    # near 9 MB, one per row near 2 MB.
+    g = gnp_graph(700, 0.5, 1)
+    tracemalloc.start()
+    try:
+        text = serialize_graph(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert text.count("\n") == g.m
+    assert peak < 4 * 2**20
+
+
 def test_parse_comments_and_blank_lines():
     g = parse_graph("# a comment\n3 1\n\n0 1\n# trailing\n")
     assert g == Graph(3, [(0, 1)])
