@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+_setattr = object.__setattr__
+
 
 class Record:
     """Base of a frozen record type that builds no code.
@@ -14,8 +16,7 @@ class Record:
     its own class body.  What a record offers its callers:
 
     - construction by position, by keyword or both, with the defaults filled
-      in; a call that passes every field, all by position or all by keyword
-      in field order, skips argument binding;
+      in; a call that passes every field by position skips argument binding;
     - ``__post_init__(self)``, when the subclass defines it, runs once the
       fields are set, so its checks raise from the constructor;
     - assigning or deleting any attribute raises AttributeError;
@@ -39,22 +40,19 @@ class Record:
         cls._defaults = {name: cls.__dict__[name] for name in names if name in cls.__dict__}
 
     def __init__(self, *args, **kwargs):
-        names = self._fields
-        if not kwargs and len(args) == len(names):
-            fields = zip(names, args)
-        elif not args and tuple(kwargs) == names:
-            fields = kwargs
-        else:
-            fields = self._bind(args, kwargs)
-        # One dict update sets every field, where object.__setattr__ would
-        # cost a call per field.
-        self.__dict__.update(fields)
+        if kwargs or len(args) != len(self._fields):
+            args = self._bind(args, kwargs)
+        # Fields are set through object.__setattr__, bound once, as a frozen
+        # dataclass sets them: touching self.__dict__ instead would give each
+        # record its own dict object, 64 B more than the values that share
+        # the class's keys.  any() only drains the map; every call is None.
+        any(map(_setattr.__get__(self), self._fields, args))
         if self.__post_init__ is not None:
             self.__post_init__()
 
     @classmethod
-    def _bind(cls, args: tuple, kwargs: dict) -> dict:
-        """Fields by name, in order, from any mix of positions, keywords and
+    def _bind(cls, args: tuple, kwargs: dict) -> list:
+        """Field values, in order, from any mix of positions, keywords and
         defaults; raises TypeError as a def with these parameters would."""
         names = cls._fields
         if len(args) > len(names):
@@ -62,18 +60,18 @@ class Record:
                 f"{cls.__name__}() takes {len(names)} positional arguments"
                 f" but {len(args)} were given"
             )
-        fields = dict(zip(names, args))
+        values = list(args)
         for name in names[len(args) :]:
             if name in kwargs:
-                fields[name] = kwargs.pop(name)
+                values.append(kwargs.pop(name))
             elif name in cls._defaults:
-                fields[name] = cls._defaults[name]
+                values.append(cls._defaults[name])
             else:
                 raise TypeError(f"{cls.__name__}() missing required argument {name!r}")
         for name in kwargs:
             problem = "multiple values for" if name in names else "an unexpected keyword"
             raise TypeError(f"{cls.__name__}() got {problem} argument {name!r}")
-        return fields
+        return values
 
     def _values(self) -> tuple:
         return tuple([getattr(self, name) for name in self._fields])
