@@ -24,6 +24,8 @@ class Record:
       type (NotImplemented otherwise), and equal records hash equal;
     - ``repr`` is ``Name(field=value, ...)`` with each value's repr;
     - pickling, since the fields live in the instance ``__dict__``;
+    - no more memory per record than a plain object with the same
+      attributes;
     - the subclass's methods and properties stay plain members of its class
       ``__dict__``.
     """
@@ -42,10 +44,10 @@ class Record:
     def __init__(self, *args, **kwargs):
         if kwargs or len(args) != len(self._fields):
             args = self._bind(args, kwargs)
-        # Fields are set through object.__setattr__, bound once, as a frozen
-        # dataclass sets them: touching self.__dict__ instead would give each
-        # record its own dict object, 64 B more than the values that share
-        # the class's keys.  any() only drains the map; every call is None.
+        # Fields are set through object.__setattr__, bound once per record:
+        # touching self.__dict__ instead would give each record a dict object
+        # of its own, 64 B more than the values that share the class's keys.
+        # any() only drains the map; every call returns None.
         any(map(_setattr.__get__(self), self._fields, args))
         if self.__post_init__ is not None:
             self.__post_init__()

@@ -2,6 +2,7 @@
 the constructor checks, frozenness, equality and hashing, repr and pickling."""
 
 import pickle
+import tracemalloc
 
 import pytest
 
@@ -210,3 +211,23 @@ def test_pickle_round_trip(cls, names, values, text):
 def test_csv_columns_are_the_sample_fields():
     names = {cls: names for cls, names, *_ in RECORDS}
     assert _COLUMNS == names[SampleRecord]
+
+
+def test_records_hold_no_more_memory_than_plain_objects():
+    # An experiment keeps every SampleRecord, so a record must cost no more
+    # than a plain object that sets the same attributes: no instance dict
+    # object of its own beside the values that share the class's keys.
+    class Plain:
+        def __init__(self, *values):
+            for name, value in zip(_COLUMNS, values):
+                setattr(self, name, value)
+
+    def traced(cls):
+        tracemalloc.start()
+        try:
+            kept = [cls(0, 1, False, None, True, None, None, False) for _ in range(2000)]
+            return tracemalloc.get_traced_memory()[0] / len(kept)
+        finally:
+            tracemalloc.stop()
+
+    assert traced(SampleRecord) <= traced(Plain) * 1.05
