@@ -63,10 +63,14 @@ def _read_text(path: str | None) -> str:
 
 
 def _write_text(text: str, path: str | None) -> None:
+    """Write text, then a newline, to path, or to stdout if path is None."""
     if path is None:
         sys.stdout.write(text)
+        sys.stdout.write("\n")
     else:
-        Path(path).write_text(text)
+        with open(path, "w") as f:
+            f.write(text)
+            f.write("\n")
 
 
 def _build_parser() -> _Parser:
@@ -141,15 +145,16 @@ def _cmd_gen(args) -> int:
             params.append(str(value))
         spec = " ".join([family] + params)
     g = generate(spec, seed=args.seed)
-    _write_text(serialize_graph(g) + "\n", args.out)
+    _write_text(serialize_graph(g), args.out)
     return EXIT_OK
 
 
 def _cmd_analyze(args) -> int:
     g = parse_graph(_read_text(args.graph))
+    # Checked before the first line goes out: a bad --budget prints nothing.
+    wb = WorkBudget(args.budget) if args.budget is not None else DEFAULT_BUDGET
     print(f"{g.n} {g.m} {min_degree(g)}")
     if args.exact:
-        wb = WorkBudget(args.budget) if args.budget is not None else DEFAULT_BUDGET
         alpha = independence_number_exact(g, wb)
         alpha_tilde = alpha_tilde_exact(g, args.budget)
         kappa = vertex_connectivity_exact(g, wb)
@@ -162,11 +167,11 @@ def _cmd_hamilton(args) -> int:
     result = find_hamilton(g)
     if result.cycle is not None:
         text = serialize_cycle(result.cycle)
-        _write_text(text + "\n", args.out or "answer.cycle")
+        _write_text(text, args.out or "answer.cycle")
         print(text)
         return EXIT_OK
     text = serialize_certificate(result.certificate)
-    _write_text(text + "\n", args.out or "answer.cert")
+    _write_text(text, args.out or "answer.cert")
     print(text)
     return EXIT_CERTIFICATE
 
@@ -179,9 +184,9 @@ def _cmd_disjoint(args) -> int:
     translated = serialize_certificate(result.translated_certificate)
     if args.out:
         for i, text in enumerate(cycle_texts, start=1):
-            Path(f"{args.out}.cycle.{i}").write_text(text + "\n")
-        Path(f"{args.out}.residual.cert").write_text(residual + "\n")
-        Path(f"{args.out}.translated.cert").write_text(translated + "\n")
+            _write_text(text, f"{args.out}.cycle.{i}")
+        _write_text(residual, f"{args.out}.residual.cert")
+        _write_text(translated, f"{args.out}.translated.cert")
     else:
         for text in cycle_texts:
             print(text)
@@ -196,7 +201,7 @@ def _cmd_disjoint(args) -> int:
 
 def _cmd_reduce(args) -> int:
     inst = parse_instance(_read_text(args.instance))
-    _write_text(serialize_graph(bcbs_to_bhn(inst)) + "\n", args.out)
+    _write_text(serialize_graph(bcbs_to_bhn(inst)), args.out)
     return EXIT_OK
 
 
@@ -211,7 +216,7 @@ def _cmd_experiment(args) -> int:
         oracle_budget=budget,
     )
     report = run_experiment(cfg, jobs=args.jobs)
-    _write_text(report.to_csv() + "\n", args.out)
+    _write_text(report.to_csv(), args.out)
     return EXIT_OK
 
 

@@ -200,19 +200,6 @@ def components(g: Graph) -> list[list[int]]:
     return out
 
 
-def external_neighborhood(g: Graph, s: Iterable[int]) -> set[int]:
-    """N(S): vertices outside S with at least one neighbor in S."""
-    smask = 0
-    for v in s:
-        if not 0 <= v < g.n:
-            raise ValueError(f"vertex out of range: {v}")
-        smask |= 1 << v
-    union = 0
-    for v in _bits(smask):
-        union |= g.adj_bits[v]
-    return set(_bits(union & ~smask))
-
-
 def disjoint_union(g: Graph, h: Graph) -> Graph:
     """Disjoint union; h's vertices are relabeled to g.n .. g.n+h.n-1."""
     rows = list(g.adj_bits) + [row << g.n for row in h.adj_bits]

@@ -1,4 +1,4 @@
-"""Seeded Monte-Carlo experiments on G(n,p) plus expansion-property checks.
+"""Seeded Monte-Carlo experiments on G(n,p).
 
 The central object is a per-sample event sandwich: with t = ceil(sqrt(n))
 and d = r*(2t) + 3r - 3, a graph with an isolated vertex can never carry r
@@ -11,29 +11,18 @@ floor for P(no r disjoint cycles).  The alpha_tilde > 2t column is a yes/no
 threshold test, never the exact value; its NA cells follow the exact scan's
 budget rule, so a cell is NA exactly where alpha_tilde_exact would run out
 of budget on that sample.
-
-Also here: the deterministic expansion properties P1 (|N(S)| >= d|S| for
-all small S) and P2 (no (a,a)-hole at the 1/4130 scale) and the m(n,d)
-mixing formula they are calibrated by.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import combinations, repeat
+from itertools import repeat
 from operator import attrgetter
 
 from hamholes._record import Record
 from hamholes.errors import BudgetExceededError
-from hamholes.graph import Graph, gnp_graph, min_degree
-from hamholes.holes import (
-    ALPHA_SIZE_GUARD,
-    DEFAULT_HOLE_BUDGET,
-    BipartiteHole,
-    _check_scan_budget,
-    alpha_tilde_at_least,
-    has_bipartite_hole,
-)
+from hamholes.graph import gnp_graph, min_degree
+from hamholes.holes import ALPHA_SIZE_GUARD, _check_scan_budget, alpha_tilde_at_least
 from hamholes.oracle import WorkBudget, exists_edge_disjoint_hc_exact
 
 _EDHC_MAX_N = 12
@@ -48,64 +37,6 @@ def lemma6_params(n: int, r: int) -> tuple[int, int]:
     if t * t < n:
         t += 1
     return t, r * (2 * t) + 3 * r - 3
-
-
-def m_value(n: float, d: float) -> float:
-    """m(n, d) = (ln n * ln ln ln n) / (ln d * ln ln n); needs n > e^e, d > 1."""
-    if not n > math.exp(math.e):
-        raise ValueError(f"m_value needs n > e^e, got {n}")
-    if not d > 1:
-        raise ValueError(f"m_value needs d > 1, got {d}")
-    return (math.log(n) * math.log(math.log(math.log(n)))) / (
-        math.log(d) * math.log(math.log(n))
-    )
-
-
-def check_P2(
-    g: Graph, m_val: float, budget: int = DEFAULT_HOLE_BUDGET
-) -> tuple[bool, BipartiteHole | None]:
-    """No-large-hole property at scale a = ceil(n / (4130 * m_val)).
-
-    Returns (True, None) when g has no (a,a)-bipartite-hole (hole
-    monotonicity makes checking size exactly a sufficient), else
-    (False, witness).  a clamps to >= 1, which is the regime any desk-scale
-    n lands in.
-    """
-    if m_val <= 0:
-        raise ValueError(f"m_val must be positive, got {m_val}")
-    a = max(1, math.ceil(g.n / (4130 * m_val)))
-    hole = has_bipartite_hole(g, a, a, budget)
-    return hole is None, hole
-
-
-def check_P1(
-    g: Graph, d_exp: float, m_val: float, budget: int = DEFAULT_HOLE_BUDGET
-) -> tuple[bool, tuple[int, ...] | None]:
-    """Expansion property: |N(S)| >= d_exp * |S| for all S up to the bound.
-
-    Exhausts every non-empty S with |S| <= n/(d_exp * m_val) in size-then-
-    lexicographic order and returns (False, S) on the first violation.
-    A size bound below 1 leaves nothing to check: vacuously (True, None).
-    """
-    if d_exp <= 0 or m_val <= 0:
-        raise ValueError("d_exp and m_val must be positive")
-    cap = math.floor(g.n / (d_exp * m_val))
-    probes = 0
-    for size in range(1, min(cap, g.n) + 1):
-        for subset in combinations(range(g.n), size):
-            probes += 1
-            if probes > budget:
-                raise BudgetExceededError(
-                    f"P1 enumeration exceeded {budget} subset probes"
-                )
-            smask = 0
-            union = 0
-            for v in subset:
-                smask |= 1 << v
-                union |= g.adj_bits[v]
-            if (union & ~smask).bit_count() < d_exp * size:
-                return False, subset
-    return True, None
 
 
 # ---------------------------------------------------------------------------
@@ -291,8 +222,9 @@ def run_experiment(cfg: ExperimentConfig, jobs: int = 1) -> ExperimentReport:
     """Evaluate cfg.samples seeded G(n,p) draws; deterministic per config.
 
     Samples are independent: with jobs > 1 they are farmed to a process
-    pool, and the report is identical to a sequential run because records
-    are keyed by sample index and re-assembled in order.
+    pool, and the report is identical to a sequential run because each
+    sample is seeded by its index and the pool's map returns the records
+    in index order.
     """
     t, d = lemma6_params(cfg.n, cfg.r)
     if jobs <= 1:
@@ -308,5 +240,4 @@ def run_experiment(cfg: ExperimentConfig, jobs: int = 1) -> ExperimentReport:
         chunk = max(1, cfg.samples // (jobs * 8))
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             records = list(pool.map(_evaluate_sample, *fixed, indices, chunksize=chunk))
-        records.sort(key=lambda r: r.sample)
     return ExperimentReport(cfg, t, d, tuple(records))

@@ -117,6 +117,15 @@ def test_analyze_guard_exits_3_without_budget(workdir, capsys):
     assert capsys.readouterr().out.splitlines()[1] == "1 1 20"
 
 
+def test_analyze_bad_budget_prints_nothing_to_stdout(workdir, capsys):
+    (workdir / "g.txt").write_text(serialize_graph(complete_graph(4)) + "\n")
+    for budget in ("0", "-5"):
+        assert run_cli("analyze", "g.txt", "--exact", "--budget", budget) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: budget must be positive\n"
+
+
 def test_analyze_exact_on_a_huge_empty_graph_exits_3(monkeypatch, capsys):
     # alpha of 1200 isolated vertices takes 1200 nested include-branches; the
     # alpha-tilde size guard then aborts with exit 3 and one error line.

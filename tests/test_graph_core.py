@@ -15,7 +15,6 @@ from hamholes.graph import (
     components,
     cycle_graph,
     disjoint_union,
-    external_neighborhood,
     fan_example_graph,
     generate,
     gnp_graph,
@@ -107,13 +106,6 @@ def test_components_and_min_degree():
     assert components(cycle_graph(4)) == [[0, 1, 2, 3]]
     with pytest.raises(ValueError):
         min_degree(Graph(0))
-
-
-def test_external_neighborhood():
-    g = cycle_graph(5)
-    assert external_neighborhood(g, [0]) == {1, 4}
-    assert external_neighborhood(g, [0, 1]) == {2, 4}
-    assert external_neighborhood(g, range(5)) == set()
 
 
 def test_disjoint_union():

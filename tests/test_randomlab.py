@@ -1,17 +1,11 @@
-"""Event-sandwich experiments and the P1/P2/m(n,d) property checks."""
-
-import math
+"""Event-sandwich experiments: parameters, per-sample seeding and the CSV."""
 
 import pytest
 
-from hamholes.graph import complete_graph, disjoint_union, gnp_graph, Graph
-from hamholes.holes import has_bipartite_hole
+from hamholes.graph import gnp_graph
 from hamholes.randomlab import (
     ExperimentConfig,
-    check_P1,
-    check_P2,
     lemma6_params,
-    m_value,
     run_experiment,
     sample_seed,
 )
@@ -30,54 +24,6 @@ def test_lemma6_params():
         lemma6_params(0, 1)
     with pytest.raises(ValueError):
         lemma6_params(5, 0)
-
-
-def test_m_value():
-    n, d = 100.0, 10.0
-    expect = (math.log(n) * math.log(math.log(math.log(n)))) / (
-        math.log(d) * math.log(math.log(n))
-    )
-    assert m_value(n, d) == pytest.approx(expect)
-    with pytest.raises(ValueError):
-        m_value(10.0, 10.0)  # n <= e^e
-    with pytest.raises(ValueError):
-        m_value(100.0, 1.0)  # d <= 1
-
-
-# ---------------------------------------------------------------------------
-# P1 / P2
-
-
-def test_check_P2_matches_hole_search():
-    for seed in range(8):
-        g = gnp_graph(14, 0.3, seed=seed)
-        m_val = 2.0
-        ok, hole = check_P2(g, m_val)
-        a = max(1, math.ceil(g.n / (4130 * m_val)))
-        direct = has_bipartite_hole(g, a, a)
-        assert ok == (direct is None)
-        if hole is not None:
-            assert len(hole.s_side) == a and len(hole.t_side) == a
-
-
-def test_check_P1_expansion():
-    # cap = floor(8 / 4) = 2; K_8 gives |N(S) \ S| = 8 - |S| >= 2|S| there
-    ok, witness = check_P1(complete_graph(8), d_exp=2.0, m_val=2.0)
-    assert ok and witness is None
-    # the K_2 component stops expanding: S = {0, 1} has no outside neighbors
-    g = disjoint_union(complete_graph(2), complete_graph(6))
-    ok, witness = check_P1(g, d_exp=2.0, m_val=1.0)
-    assert not ok
-    # the witness really violates the expansion inequality
-    union = set()
-    for v in witness:
-        union.update(g.neighbors(v))
-    assert len(union - set(witness)) < 2.0 * len(witness)
-
-
-def test_check_P1_vacuous_below_one():
-    ok, witness = check_P1(Graph(5), d_exp=10.0, m_val=10.0)
-    assert ok and witness is None  # size cap < 1 leaves nothing to check
 
 
 # ---------------------------------------------------------------------------
