@@ -156,10 +156,12 @@ def _edge_rows(n: int, us: list[int], vs: list[int]) -> list[int] | None:
     """Adjacency rows of the graph on 0..n-1 with edges ``us[i] vs[i]``, or
     None if an edge has a vertex out of range, is a self-loop or repeats.
 
-    Checks and neighbour lists run in C-level builtins; only the rows are
-    built per vertex.
+    Both callers pass non-negative ids (the canonical layout admits only
+    digits, and the line loop range-checks each edge), so only the upper
+    bound is checked.  Checks and neighbour lists run in C-level builtins;
+    only the rows are built per vertex.
     """
-    if us and (min(us) < 0 or min(vs) < 0 or max(us) >= n or max(vs) >= n):
+    if us and (max(us) >= n or max(vs) >= n):
         return None
     nbrs: list[list[int]] = [[] for _ in range(n)]
     deque(map(list.append, map(nbrs.__getitem__, vs), us), maxlen=0)
@@ -437,20 +439,30 @@ def _check_vertex_count(n: int, lineno: int) -> None:
         )
 
 
-# The layout serialize_graph writes (plus an optional final newline).  Text
-# in it is parsed in bulk; anything else, and any text that fails an edge
-# check, goes through the line-by-line loop.  The header's size check is the
-# same on both paths, and the canonical header is always line 1.
-_CANONICAL = re.compile(r"[0-9]+ [0-9]+(?:\n[0-9]+ [0-9]+)*\n?", re.ASCII)
+# The layout serialize_graph writes (plus an optional final newline): lines
+# of two ASCII numbers split by one space, joined by "\n".  Text in it is
+# parsed in bulk; anything else, and any text that fails an edge check, goes
+# through the line-by-line loop.  The header's size check is the same on both
+# paths, and the canonical header is always line 1.
+_DIGITS = str.maketrans("", "", "0123456789")
 
 
 def _parse_canonical(text: str) -> Graph | None:
     """The graph in canonical-layout text, or None to defer to the full loop."""
-    if not _CANONICAL.fullmatch(text):
+    # Imported here, so that commands that parse no graph skip loading it.
+    import json
+
+    body = text[:-1] if text.endswith("\n") else text
+    # With the digits gone, each line must leave exactly one space.  No regex:
+    # a repeated group keeps backtracking state for every line it matches.
+    if body.translate(_DIGITS) != " \n" * body.count("\n") + " ":
         return None
     try:
-        nums = list(map(int, text.split()))
-    except ValueError:  # a number past the int-to-str digit limit
+        # JSON's C scanner reads the numbers without a str per token.  It
+        # rejects an empty number, a leading zero and a number past the
+        # int-to-str digit limit; the loop reads or reports those.
+        nums = json.loads("[" + body.replace(" ", ",").replace("\n", ",") + "]")
+    except ValueError:
         return None
     n, m = nums[0], nums[1]
     _check_vertex_count(n, 1)

@@ -333,6 +333,23 @@ def test_parse_allocation_follows_edges(text):
     assert peak < 64 * 2**20
 
 
+@pytest.mark.parametrize("n,p", [(700, 0.5), (4000, 0.01)])
+def test_canonical_parse_allocation_follows_edges(n, p):
+    # About 122k and 80k edges.  The numbers, their two column slices and the
+    # neighbour lists peak near 11 MB; a layout regex holding backtracking
+    # state per line would peak near 24 and 16 MB.
+    g = gnp_graph(n, p, 1)
+    text = serialize_graph(g) + "\n"
+    tracemalloc.start()
+    try:
+        parsed = parse_graph(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert parsed == g
+    assert peak < 13 * 2**20
+
+
 @pytest.mark.parametrize(
     "build",
     [lambda: Graph(20_000), lambda: parse_instance("10000 10000 1\n").graph],

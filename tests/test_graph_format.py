@@ -1,9 +1,16 @@
 """Differential property tests: the bulk parse of canonical text against the
 line-by-line loop, and Graph() against a per-edge reference."""
 
+import os
+import shutil
+import subprocess
+from pathlib import Path
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hamholes
 from hamholes.errors import GraphFormatError
 from hamholes.graph import Graph, parse_graph, serialize_graph
 
@@ -47,7 +54,16 @@ def test_round_trip_and_both_paths_agree(case):
     text = canonical(n, [f"{u} {v}" for u, v in edges])
     assert parse_graph(text) == g
     assert parse_graph(padded(text)) == g
+    # Leading zeros are off the bulk path's number syntax; the loop reads them.
+    zeros = canonical(f"00{n}", [f"00{u} {v}" for u, v in edges])
+    assert outcome(zeros) == outcome(padded(zeros)) == g
 
+
+# A digit count past Python's default int-to-str limit (4300 digits).
+LONG_NUMBER = "1" * 4301
+
+# Off the canonical layout, yet the same graph.
+HARMLESS = ("trailing-space", "tab", "crlf", "double-final-newline")
 
 CORRUPTIONS = (
     "reversed-duplicate",
@@ -57,6 +73,9 @@ CORRUPTIONS = (
     "non-digit",
     "extra-line",
     "missing-line",
+    "long-header",
+    "long-edge",
+    *HARMLESS,
 )
 
 
@@ -80,13 +99,65 @@ def test_corrupt_line_same_error_on_both_paths(case, corruption, data):
         lines[i] = f"{u} x"
     elif corruption == "extra-line":
         lines.insert(i, lines[i])
-    else:
+    elif corruption == "missing-line":
         del lines[i]
+    elif corruption == "long-edge":
+        lines[i] = f"{u} {LONG_NUMBER}"
+    elif corruption == "trailing-space":
+        lines[i] += " "
+    elif corruption == "tab":
+        lines[i] = f"{u}\t{v}"
+    elif corruption == "crlf":
+        lines[i] += "\r"
     header = f"{n} {len(edges)}"
+    if corruption == "long-header":
+        header = f"{LONG_NUMBER} {len(edges)}"
     text = "\n".join([header, *lines]) + "\n"
+    if corruption == "double-final-newline":
+        text += "\n"
     fast, slow = outcome(text), outcome(padded(text))
-    assert isinstance(fast, tuple), "corrupted text parsed"
+    if corruption in HARMLESS:
+        assert fast == Graph(n, edges)
+    else:
+        assert isinstance(fast, tuple), "corrupted text parsed"
     assert fast == slow
+
+
+@pytest.mark.parametrize(
+    "text,expected",
+    [
+        (f"{LONG_NUMBER} 0\n", ("line 1: expected header 'n m'", 1)),
+        (f"{LONG_NUMBER} 0", ("line 1: expected header 'n m'", 1)),
+        (f"3 1\n0 {LONG_NUMBER}\n", ("line 2: expected edge 'u v'", 2)),
+        (f"3 2\n0 1\n{LONG_NUMBER} 2\n", ("line 3: expected edge 'u v'", 3)),
+    ],
+)
+def test_number_past_digit_limit_is_a_format_error(text, expected):
+    assert outcome(text) == outcome(padded(text)) == expected
+
+
+def test_parses_under_python_3_10():
+    # The package promises Python >= 3.10; run it there when one is on PATH.
+    exe = shutil.which("python3.10")
+    probe = exe and subprocess.run([exe, "-c", "pass"], capture_output=True)
+    if not probe or probe.returncode:
+        pytest.skip("no python3.10 runs here")
+    src = str(Path(hamholes.__file__).resolve().parents[1])
+    script = (
+        "import hamholes.cli\n"
+        "from hamholes.graph import parse_graph\n"
+        "text = '4 3\\n0 1\\n1 2\\n3 2\\n'\n"
+        "for t in (text, text.replace('\\n', ' \\n')):\n"
+        "    print(sorted(parse_graph(t).edges()))\n"
+    )
+    out = subprocess.run(
+        [exe, "-B", "-c", script],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "[(0, 1), (1, 2), (2, 3)]\n" * 2
 
 
 def reference_error(n, edges):
