@@ -42,7 +42,6 @@ from hamholes.holes import (
     verify_certificate,
 )
 from hamholes.oracle import (
-    WorkBudget,
     exists_edge_disjoint_hc_exact,
     independence_number_exact,
     is_hamiltonian_exact,
@@ -68,7 +67,6 @@ __all__ = [
     "HamResult",
     "HamholesError",
     "HoleCertificate",
-    "WorkBudget",
     "alpha_tilde_exact",
     "bcbs_to_bhn",
     "check_reduction_equivalence",

@@ -25,17 +25,13 @@ from hamholes.graph import FAMILIES, generate, min_degree, parse_graph, serializ
 from hamholes.hamilton import find_hamilton, parse_cycle, serialize_cycle
 from hamholes.hardness import bcbs_to_bhn, parse_instance
 from hamholes.holes import (
+    DEFAULT_BUDGET,
     alpha_tilde_exact,
     parse_certificate,
     serialize_certificate,
     verify_certificate,
 )
-from hamholes.oracle import (
-    DEFAULT_BUDGET,
-    WorkBudget,
-    independence_number_exact,
-    vertex_connectivity_exact,
-)
+from hamholes.oracle import independence_number_exact, vertex_connectivity_exact
 from hamholes.randomlab import ExperimentConfig, run_experiment
 
 EXIT_OK = 0
@@ -117,7 +113,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--r", type=int, default=1)
     p.add_argument("--samples", type=int, default=1)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--budget", type=int)
+    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--out")
     p.set_defaults(run=_cmd_experiment)
@@ -152,12 +148,15 @@ def _cmd_gen(args) -> int:
 def _cmd_analyze(args) -> int:
     g = parse_graph(_read_text(args.graph))
     # Checked before the first line goes out: a bad --budget prints nothing.
-    wb = WorkBudget(args.budget) if args.budget is not None else DEFAULT_BUDGET
+    if args.budget is not None and args.budget < 1:
+        raise ValueError("budget must be positive")
     print(f"{g.n} {g.m} {min_degree(g)}")
     if args.exact:
-        alpha = independence_number_exact(g, wb)
+        # None keeps alpha_tilde_exact's size guard; the oracles need a count.
+        budget = DEFAULT_BUDGET if args.budget is None else args.budget
+        alpha = independence_number_exact(g, budget)
         alpha_tilde = alpha_tilde_exact(g, args.budget)
-        kappa = vertex_connectivity_exact(g, wb)
+        kappa = vertex_connectivity_exact(g, budget)
         print(f"{alpha} {alpha_tilde} {kappa}")
     return EXIT_OK
 
@@ -206,14 +205,13 @@ def _cmd_reduce(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
-    budget = WorkBudget(args.budget) if args.budget is not None else WorkBudget()
     cfg = ExperimentConfig(
         n=args.n,
         p=args.p,
         r=args.r,
         samples=args.samples,
         seed=args.seed,
-        oracle_budget=budget,
+        oracle_budget=args.budget,
     )
     report = run_experiment(cfg, jobs=args.jobs)
     _write_text(report.to_csv(), args.out)

@@ -21,8 +21,7 @@ from hamholes.graph import (
     bipartite_graph,
     disjoint_union,
 )
-from hamholes.holes import alpha_tilde_at_least
-from hamholes.oracle import DEFAULT_BUDGET, WorkBudget
+from hamholes.holes import DEFAULT_BUDGET, alpha_tilde_at_least
 
 # Most edges bcbs_to_bhn will build.  The image is dense (the complement of a
 # sparse graph), and writing it out holds about 25 bytes per edge (the text,
@@ -74,7 +73,7 @@ def bcbs_to_bhn(inst: BipartiteInstance) -> Graph:
     return disjoint_union(inst.graph, gadget).complement()
 
 
-def _has_balanced_biclique(inst: BipartiteInstance, budget: WorkBudget) -> bool:
+def _has_balanced_biclique(inst: BipartiteInstance, budget: int) -> bool:
     """Whether K_{k,k} sits in the instance with k vertices per part."""
     a, k = inst.a, inst.k
     if k > a:
@@ -83,10 +82,8 @@ def _has_balanced_biclique(inst: BipartiteInstance, budget: WorkBudget) -> bool:
     probes = 0
     for chosen in itertools.combinations(range(a), k):
         probes += 1
-        if probes > budget.max_probes:
-            raise BudgetExceededError(
-                f"biclique enumeration exceeded {budget.max_probes} probes"
-            )
+        if probes > budget:
+            raise BudgetExceededError(f"biclique enumeration exceeded {budget} probes")
         common = b_mask
         for u in chosen:
             common &= inst.graph.adj_bits[u]
@@ -96,7 +93,7 @@ def _has_balanced_biclique(inst: BipartiteInstance, budget: WorkBudget) -> bool:
 
 
 def check_reduction_equivalence(
-    inst: BipartiteInstance, budget: WorkBudget = DEFAULT_BUDGET
+    inst: BipartiteInstance, budget: int = DEFAULT_BUDGET
 ) -> bool:
     """Brute-force both sides of the reduction and compare.
 
@@ -110,7 +107,7 @@ def check_reduction_equivalence(
         raise ValueError("equivalence check is exhaustive; needs parts <= 6, k <= 3")
     left = _has_balanced_biclique(inst, budget)
     image = bcbs_to_bhn(inst)
-    right = alpha_tilde_at_least(image, 2 * inst.k, budget.max_probes)
+    right = alpha_tilde_at_least(image, 2 * inst.k, budget)
     return left == right
 
 

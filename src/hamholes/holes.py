@@ -21,7 +21,10 @@ from hamholes.errors import (
 )
 from hamholes.graph import Graph, _bits, _ints, _keyword_header, min_degree
 
-DEFAULT_HOLE_BUDGET = 10**8
+# The work budget of every exact routine, here and in oracle, hardness and
+# randomlab: an int count of probes (hole-search subsets, search nodes or
+# augmenting-path searches, as each routine says).
+DEFAULT_BUDGET = 10**8
 ALPHA_SIZE_GUARD = 20
 
 
@@ -67,7 +70,7 @@ def _hole_side(g: Graph, s: int, t: int, budget: int) -> int | None:
 
 
 def has_bipartite_hole(
-    g: Graph, s: int, t: int, budget: int = DEFAULT_HOLE_BUDGET
+    g: Graph, s: int, t: int, budget: int = DEFAULT_BUDGET
 ) -> BipartiteHole | None:
     """Find an (s,t)-bipartite-hole, or return None if there is none.
 
@@ -91,7 +94,7 @@ def has_bipartite_hole(
     return BipartiteHole(tuple(rest[:s]), xs)
 
 
-def alpha_tilde_at_least(g: Graph, k: int, budget: int = DEFAULT_HOLE_BUDGET) -> bool:
+def alpha_tilde_at_least(g: Graph, k: int, budget: int = DEFAULT_BUDGET) -> bool:
     """Whether alpha_tilde(g) >= k: every split (s, k-s), s <= k/2, has a hole.
 
     (s,t)- and (t,s)-holes coincide, which covers the splits above k/2, and
@@ -108,15 +111,17 @@ def alpha_tilde_at_least(g: Graph, k: int, budget: int = DEFAULT_HOLE_BUDGET) ->
 def _check_scan_budget(g: Graph, budget: int) -> None:
     """Raise BudgetExceededError exactly where alpha_tilde_exact's scan would.
 
-    The scan first asks side s at total 2s, so it trips at side s*, the
-    least s with C(n, s) > budget (C(n, s) grows up to s = n/2, so
-    2s* <= n), and it gets there exactly when every split (s, 2s* - s),
-    s < s*, has a hole: holes shrink, so those splits cover every smaller
-    total too.  alpha_tilde_at_least(g, 2s*) asks those splits in the same
-    order and trips at s* with the scan's message.  Without an s* no
-    threshold test can trip.  After a return some split (s, 2s* - s),
-    s < s*, has no hole, and neither does (s, k - s) for any k >= 2s*, so
-    no threshold test on g at this budget reaches side s* either.
+    The experiment's NA rule: it lets one threshold test stand in for the
+    scan, budget errors included.  The scan first asks side s at total 2s,
+    so it trips at side s*, the least s with C(n, s) > budget (C(n, s)
+    grows up to s = n/2, so 2s* <= n), and it gets there exactly when every
+    split (s, 2s* - s), s < s*, has a hole: holes shrink, so those splits
+    cover every smaller total too.  alpha_tilde_at_least(g, 2s*) asks those
+    splits in the same order and trips at s* with the scan's message.
+    Without an s* no threshold test can trip.  After a return some split
+    (s, 2s* - s), s < s*, has no hole, and neither does (s, k - s) for any
+    k >= 2s*, so no threshold test on g at this budget reaches side s*
+    either.
     """
     n = g.n
     for s in range(1, n // 2 + 1):
@@ -128,12 +133,12 @@ def _check_scan_budget(g: Graph, budget: int) -> None:
 def alpha_tilde_exact(g: Graph, budget: int | None = None) -> int:
     """Exact bipartite-hole-number: the largest k with alpha_tilde_at_least.
 
-    Guarded: without an explicit budget the graph must have n <= 20; passing
-    a budget lifts the size guard and bounds each hole search instead.
-    Convention: graphs with fewer than 2 vertices have no room for two
-    non-empty sets, so the value is 1.  _check_scan_budget first decides
-    whether the budget runs out, and raises if so; then k counts up from 1
-    and stops at the first total with a hole-free split.
+    Guarded: budget=None means DEFAULT_BUDGET and requires n <= 20;
+    passing a budget lifts the size guard and bounds each hole search
+    instead.  Convention: graphs with fewer than 2 vertices have no room for
+    two non-empty sets, so the value is 1.  k counts up from 1 and stops at
+    the first total with a hole-free split; the first hole search that could
+    probe more than the budget raises.
     """
     if budget is None:
         if g.n > ALPHA_SIZE_GUARD:
@@ -141,8 +146,7 @@ def alpha_tilde_exact(g: Graph, budget: int | None = None) -> int:
                 f"instance too large: n = {g.n} > {ALPHA_SIZE_GUARD}"
                 " (pass an explicit budget to override)"
             )
-        budget = DEFAULT_HOLE_BUDGET
-    _check_scan_budget(g, budget)
+        budget = DEFAULT_BUDGET
     k = 1
     while alpha_tilde_at_least(g, k + 1, budget):
         k += 1

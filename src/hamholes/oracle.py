@@ -1,12 +1,13 @@
 """Exact solvers used as ground truth in tests and experiments.
 
-Everything here is exact-or-abort: every routine runs under an explicit
-work budget, and exceeding the budget raises instead of degrading to an
-approximation.  Hamiltonicity, independence and edge-disjoint cycles are
-found by backtracking search, one probe per node expansion.  Vertex
-connectivity is found by unit-capacity max-flows (Even's algorithm), one
-probe per augmenting-path search.  None of these routines sit on the main
-algorithms' hot path.
+Everything here is exact-or-abort: every routine runs under a work budget,
+an int count of probes (``holes.DEFAULT_BUDGET`` unless given), and a
+search that needs more probes raises BudgetExceededError instead of
+degrading to an approximation.  Hamiltonicity, independence and
+edge-disjoint cycles are found by backtracking search, one probe per node
+expansion.  Vertex connectivity is found by unit-capacity max-flows
+(Even's algorithm), one probe per augmenting-path search.  None of these
+routines sit on the main algorithms' hot path.
 
 The searches run in ``hamholes._kernels``.  The edge-disjoint search walks
 all Hamilton cycles through the kernels' one Hamilton DFS, the same search
@@ -18,28 +19,14 @@ from __future__ import annotations
 
 from hamholes import _kernels
 from hamholes._kernels._pure import NodeBudgetExceeded, hamilton_cycles
-from hamholes._record import Record
 from hamholes.errors import BudgetExceededError
 from hamholes.graph import Graph, _bits, components, min_degree
 from hamholes.hamilton import CycleSeq
-from hamholes.holes import DEFAULT_HOLE_BUDGET
-
-
-class WorkBudget(Record):
-    """Cap on node expansions / subset probes for one oracle invocation."""
-
-    max_probes: int = DEFAULT_HOLE_BUDGET
-
-    def __post_init__(self):
-        if self.max_probes < 1:
-            raise ValueError("budget must be positive")
-
-
-DEFAULT_BUDGET = WorkBudget()
+from hamholes.holes import DEFAULT_BUDGET
 
 
 def is_hamiltonian_exact(
-    g: Graph, budget: WorkBudget = DEFAULT_BUDGET
+    g: Graph, budget: int = DEFAULT_BUDGET
 ) -> tuple[bool, CycleSeq | None]:
     """Exact Hamiltonicity with a witness cycle on success.
 
@@ -51,26 +38,24 @@ def is_hamiltonian_exact(
         raise ValueError(f"Hamiltonicity needs n >= 3, got {g.n}")
     if min_degree(g) < 2 or len(components(g)) > 1:
         return False, None
-    status, order, _ = _kernels.hamilton_cycle_search(
-        g.adj_bits, g.n, budget.max_probes
-    )
+    status, order, _ = _kernels.hamilton_cycle_search(g.adj_bits, g.n, budget)
     if status == _kernels.OVER_BUDGET:
         raise BudgetExceededError(
-            f"hamiltonicity search exceeded {budget.max_probes} node expansions"
+            f"hamiltonicity search exceeded {budget} node expansions"
         )
     if status == _kernels.FOUND:
         return True, CycleSeq(g, order)
     return False, None
 
 
-def independence_number_exact(g: Graph, budget: WorkBudget = DEFAULT_BUDGET) -> int:
+def independence_number_exact(g: Graph, budget: int = DEFAULT_BUDGET) -> int:
     """Exact maximum independent set size by branch and bound."""
     if g.n == 0:
         return 0
-    status, best, _ = _kernels.independence_number(g.adj_bits, g.n, budget.max_probes)
+    status, best, _ = _kernels.independence_number(g.adj_bits, g.n, budget)
     if status == _kernels.OVER_BUDGET:
         raise BudgetExceededError(
-            f"independence search exceeded {budget.max_probes} node expansions"
+            f"independence search exceeded {budget} node expansions"
         )
     return best
 
@@ -140,7 +125,7 @@ def _local_connectivity(adj, n: int, s: int, t: int, cap: int, spend) -> int:
     return flow
 
 
-def vertex_connectivity_exact(g: Graph, budget: WorkBudget = DEFAULT_BUDGET) -> int:
+def vertex_connectivity_exact(g: Graph, budget: int = DEFAULT_BUDGET) -> int:
     """Exact vertex connectivity by Even's algorithm (SIAM J. Comput. 1975).
 
     A non-complete graph has kappa <= min degree, which is the starting
@@ -165,10 +150,9 @@ def vertex_connectivity_exact(g: Graph, budget: WorkBudget = DEFAULT_BUDGET) -> 
     def spend() -> None:
         nonlocal probes
         probes += 1
-        if probes > budget.max_probes:
+        if probes > budget:
             raise BudgetExceededError(
-                f"connectivity search exceeded {budget.max_probes}"
-                " augmenting-path searches"
+                f"connectivity search exceeded {budget} augmenting-path searches"
             )
 
     best = min_degree(g)
@@ -182,7 +166,7 @@ def vertex_connectivity_exact(g: Graph, budget: WorkBudget = DEFAULT_BUDGET) -> 
 
 
 def exists_edge_disjoint_hc_exact(
-    g: Graph, r: int, budget: WorkBudget = DEFAULT_BUDGET
+    g: Graph, r: int, budget: int = DEFAULT_BUDGET
 ) -> bool:
     """Whether g contains r pairwise edge-disjoint Hamilton cycles, exactly.
 
@@ -202,7 +186,7 @@ def exists_edge_disjoint_hc_exact(
         if h.m < need * h.n or min_degree(h) < 2 * need:
             return False
         if need == 1:
-            remaining = budget.max_probes - counter[0]
+            remaining = budget - counter[0]
             if remaining <= 0:
                 raise NodeBudgetExceeded
             status, _, used = _kernels.hamilton_cycle_search(
@@ -213,7 +197,7 @@ def exists_edge_disjoint_hc_exact(
                 raise NodeBudgetExceeded
             return status == _kernels.FOUND
         n = h.n
-        for order in hamilton_cycles(h.adj_bits, n, counter, budget.max_probes):
+        for order in hamilton_cycles(h.adj_bits, n, counter, budget):
             cycle_edges = [(order[i - 1], order[i]) for i in range(n)]
             if solve(h.remove_edges(cycle_edges), need - 1):
                 return True
@@ -223,5 +207,5 @@ def exists_edge_disjoint_hc_exact(
         return solve(g, r)
     except NodeBudgetExceeded:
         raise BudgetExceededError(
-            f"edge-disjoint search exceeded {budget.max_probes} node expansions"
+            f"edge-disjoint search exceeded {budget} node expansions"
         ) from None

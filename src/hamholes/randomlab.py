@@ -8,22 +8,30 @@ degree (delta < d).  Experiments draw seeded samples, evaluate both
 inclusions exactly where oracles are feasible, and report violation
 counters (zero for a correct implementation) next to the (1-p)^n reference
 floor for P(no r disjoint cycles).  The alpha_tilde > 2t column is a yes/no
-threshold test, never the exact value; its NA cells follow the exact scan's
-budget rule, so a cell is NA exactly where alpha_tilde_exact would run out
-of budget on that sample.
+threshold test, never the exact value.  For n <= 20 its NA cells follow
+the exact scan's budget rule, so a cell is NA exactly where
+alpha_tilde_exact would run out of budget on that sample; for n > 20 the
+column is NA whatever the budget.  The has_r_edhc column is NA for n > 12
+or r > 2, and where its oracle runs out of budget.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from itertools import repeat
 from operator import attrgetter
 
 from hamholes._record import Record
 from hamholes.errors import BudgetExceededError
 from hamholes.graph import gnp_graph, min_degree
-from hamholes.holes import ALPHA_SIZE_GUARD, _check_scan_budget, alpha_tilde_at_least
-from hamholes.oracle import WorkBudget, exists_edge_disjoint_hc_exact
+from hamholes.holes import (
+    ALPHA_SIZE_GUARD,
+    DEFAULT_BUDGET,
+    _check_scan_budget,
+    alpha_tilde_at_least,
+)
+from hamholes.oracle import exists_edge_disjoint_hc_exact
 
 _EDHC_MAX_N = 12
 _EDHC_MAX_R = 2
@@ -49,9 +57,11 @@ class ExperimentConfig(Record):
     r: int = 1
     samples: int = 1
     seed: int = 0
-    oracle_budget: WorkBudget = WorkBudget()
+    oracle_budget: int = DEFAULT_BUDGET
 
     def __post_init__(self):
+        if self.oracle_budget < 1:
+            raise ValueError("budget must be positive")
         if self.n < 3:
             raise ValueError(f"need n >= 3, got {self.n}")
         if not 0.0 <= self.p <= 1.0:
@@ -129,10 +139,11 @@ def _or3(x: bool | None, y: bool | None) -> bool | None:
 
 
 def _evaluate_sample(cfg: ExperimentConfig, t: int, d: int, idx: int) -> SampleRecord:
-    """Flags of sample idx.  alpha_tilde > 2t is decided as
+    """Flags of sample idx.  For n <= 20, alpha_tilde > 2t is decided as
     alpha_tilde_at_least(g, 2t + 1), after _check_scan_budget has applied
     the exact scan's budget rule, so the column is NA exactly where
-    alpha_tilde_exact would raise BudgetExceededError."""
+    alpha_tilde_exact(g, cfg.oracle_budget) would raise
+    BudgetExceededError; for n > 20 it is NA."""
     g = gnp_graph(cfg.n, cfg.p, sample_seed(cfg.seed, idx))
     delta = min_degree(g)
     delta_zero = delta == 0
@@ -140,10 +151,9 @@ def _evaluate_sample(cfg: ExperimentConfig, t: int, d: int, idx: int) -> SampleR
 
     alpha_gt_2t: bool | None = None
     if cfg.n <= ALPHA_SIZE_GUARD:
-        budget = cfg.oracle_budget.max_probes
         try:
-            _check_scan_budget(g, budget)
-            alpha_gt_2t = alpha_tilde_at_least(g, 2 * t + 1, budget)
+            _check_scan_budget(g, cfg.oracle_budget)
+            alpha_gt_2t = alpha_tilde_at_least(g, 2 * t + 1, cfg.oracle_budget)
         except BudgetExceededError:
             pass
 
@@ -221,13 +231,16 @@ class ExperimentReport(Record):
 def run_experiment(cfg: ExperimentConfig, jobs: int = 1) -> ExperimentReport:
     """Evaluate cfg.samples seeded G(n,p) draws; deterministic per config.
 
-    Samples are independent: with jobs > 1 they are farmed to a process
-    pool, and the report is identical to a sequential run because each
-    sample is seeded by its index and the pool's map returns the records
-    in index order.
+    Samples are independent: they are farmed to a pool of
+    min(jobs, samples, CPU count) worker processes, or run in this process
+    when that is 1.  The report is identical to a sequential run because
+    each sample is seeded by its index and the pool's map returns the
+    records in index order.  The cap matters because a fork-based pool
+    starts all its workers at the first submit.
     """
     t, d = lemma6_params(cfg.n, cfg.r)
-    if jobs <= 1:
+    workers = min(jobs, cfg.samples, os.cpu_count() or 1)
+    if workers <= 1:
         records = [
             _evaluate_sample(cfg, t, d, i) for i in range(cfg.samples)
         ]
@@ -237,7 +250,7 @@ def run_experiment(cfg: ExperimentConfig, jobs: int = 1) -> ExperimentReport:
 
         fixed = repeat(cfg), repeat(t), repeat(d)
         indices = range(cfg.samples)
-        chunk = max(1, cfg.samples // (jobs * 8))
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        chunk = max(1, cfg.samples // (workers * 8))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             records = list(pool.map(_evaluate_sample, *fixed, indices, chunksize=chunk))
     return ExperimentReport(cfg, t, d, tuple(records))

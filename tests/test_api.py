@@ -4,10 +4,11 @@ the helpers it does not re-export live."""
 import ast
 import importlib
 import importlib.util
+import inspect
 from pathlib import Path
 
 import hamholes
-from hamholes import _kernels
+from hamholes import _kernels, cli, hardness, holes, oracle, randomlab
 
 PUBLIC = {
     "hamholes.graph": ["Graph", "generate", "parse_graph", "serialize_graph"],
@@ -21,7 +22,7 @@ PUBLIC = {
     ],
     "hamholes.disjoint": ["find_edge_disjoint_hamilton", "DisjointResult"],
     "hamholes.oracle": [
-        "WorkBudget", "is_hamiltonian_exact", "independence_number_exact",
+        "is_hamiltonian_exact", "independence_number_exact",
         "vertex_connectivity_exact", "exists_edge_disjoint_hc_exact",
     ],
     "hamholes.hardness": [
@@ -46,15 +47,14 @@ SUBMODULE_ONLY = {
         "PathState", "extend_maximal", "try_close", "reopen_cycle",
         "extract_certificate", "disconnected_certificate",
     ],
-    "hamholes.holes": ["ALPHA_SIZE_GUARD"],
-    "hamholes.oracle": ["DEFAULT_BUDGET"],
+    "hamholes.holes": ["ALPHA_SIZE_GUARD", "DEFAULT_BUDGET"],
     "hamholes.randomlab": ["SampleRecord", "lemma6_params", "sample_seed"],
 }
 
 
 def test_all_is_the_documented_surface():
     names = [name for group in PUBLIC.values() for name in group]
-    assert len(names) == len(set(names)) == 38
+    assert len(names) == len(set(names)) == 37
     assert set(hamholes.__all__) == set(names)
     for module, group in PUBLIC.items():
         for name in group:
@@ -89,6 +89,35 @@ def test_helpers_stay_in_their_submodules():
     # own tests.
     unused = set(names) - _names_used_in_package()
     assert not unused, sorted(unused)
+
+
+def test_every_budget_is_one_probe_count():
+    # One convention for the work budget: an int count of probes whose
+    # default is holes.DEFAULT_BUDGET, defined once.  alpha_tilde_exact
+    # alone defaults to None, its n <= 20 size guard; _has_balanced_biclique
+    # is always passed its caller's budget.
+    for fn in (
+        oracle.is_hamiltonian_exact,
+        oracle.independence_number_exact,
+        oracle.vertex_connectivity_exact,
+        oracle.exists_edge_disjoint_hc_exact,
+        holes.has_bipartite_hole,
+        holes.alpha_tilde_at_least,
+        hardness.check_reduction_equivalence,
+        hardness._has_balanced_biclique,
+    ):
+        param = inspect.signature(fn).parameters["budget"]
+        assert param.annotation == "int", fn.__name__
+        if fn is not hardness._has_balanced_biclique:
+            assert param.default is holes.DEFAULT_BUDGET, fn.__name__
+    guarded = inspect.signature(holes.alpha_tilde_exact).parameters["budget"]
+    assert (guarded.annotation, guarded.default) == ("int | None", None)
+    config = randomlab.ExperimentConfig
+    assert config.__annotations__["oracle_budget"] == "int"
+    assert config._defaults["oracle_budget"] is holes.DEFAULT_BUDGET
+    args = cli._build_parser().parse_args(["experiment", "--n", "5", "--p", "0.5"])
+    assert args.budget is holes.DEFAULT_BUDGET
+    assert holes.DEFAULT_BUDGET == 10**8
 
 
 def test_benchmark_tracer_targets_resolve():

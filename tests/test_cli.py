@@ -309,6 +309,15 @@ def test_exact_workload_csvs_pinned(workdir, config, plain, budget_40, budget_20
         assert got == want, extra
 
 
+def test_experiment_bad_budget_writes_nothing(workdir, capsys):
+    for budget in ("0", "-5"):
+        for out in ((), ("--out", "e.csv")):
+            args = ("experiment", "--n", "8", "--p", "0.5", "--budget", budget)
+            assert run_cli(*args, *out) == 1
+            assert capsys.readouterr() == ("", "error: budget must be positive\n")
+            assert not (workdir / "e.csv").exists()
+
+
 def test_experiment_rejects_bad_params(capsys):
     assert run_cli("experiment", "--n", "2", "--p", "0.5") == 1
     assert run_cli("experiment", "--n", "8", "--p", "1.5") == 1

@@ -35,11 +35,7 @@ from hamholes.holes import (
     translate_certificate,
     verify_certificate,
 )
-from hamholes.oracle import (
-    WorkBudget,
-    independence_number_exact,
-    vertex_connectivity_exact,
-)
+from hamholes.oracle import independence_number_exact, vertex_connectivity_exact
 from hamholes.randomlab import ExperimentConfig, run_experiment
 
 
@@ -245,7 +241,7 @@ def test_budget_below_n_trips_every_sample_at_side_one():
         assert str(info.value) == (
             "instance too large: C(10,1) subset probes exceed budget 9"
         )
-    cfg = ExperimentConfig(10, 0.3, samples=20, seed=5, oracle_budget=WorkBudget(9))
+    cfg = ExperimentConfig(10, 0.3, samples=20, seed=5, oracle_budget=9)
     assert all(rec.alpha_gt_2t is None for rec in run_experiment(cfg).records)
 
 

@@ -19,13 +19,8 @@ from hamholes.graph import (
     gnp_graph,
     petersen_graph,
 )
-from hamholes.holes import BipartiteHole, has_bipartite_hole
-from hamholes.oracle import (
-    DEFAULT_BUDGET,
-    WorkBudget,
-    exists_edge_disjoint_hc_exact,
-    is_hamiltonian_exact,
-)
+from hamholes.holes import DEFAULT_BUDGET, BipartiteHole, has_bipartite_hole
+from hamholes.oracle import exists_edge_disjoint_hc_exact, is_hamiltonian_exact
 
 
 def _cases():
@@ -134,7 +129,7 @@ INDEPENDENCE_PINS = [
 def test_pure_independence_pinned():
     for g, (size, nodes, best20, best2) in zip(_cases(), INDEPENDENCE_PINS, strict=True):
         adj = list(g.adj_bits)
-        for budget, best in ((DEFAULT_BUDGET.max_probes, size), (20, best20), (2, best2)):
+        for budget, best in ((DEFAULT_BUDGET, size), (20, best20), (2, best2)):
             if nodes <= budget:
                 want = (FOUND, size, nodes)
             else:
@@ -155,9 +150,9 @@ def test_pure_independence_pinned():
 def test_edge_disjoint_least_budget(g, least, answer):
     # The least budget pins the node count of the nested cycle enumeration
     # plus the single-cycle searches under it.
-    assert exists_edge_disjoint_hc_exact(g, 2, WorkBudget(least)) is answer
+    assert exists_edge_disjoint_hc_exact(g, 2, least) is answer
     with pytest.raises(BudgetExceededError) as exc:
-        exists_edge_disjoint_hc_exact(g, 2, WorkBudget(least - 1))
+        exists_edge_disjoint_hc_exact(g, 2, least - 1)
     message = f"edge-disjoint search exceeded {least - 1} node expansions"
     assert str(exc.value) == message
 

@@ -16,7 +16,6 @@ from hamholes.graph import (
     petersen_graph,
 )
 from hamholes.oracle import (
-    WorkBudget,
     exists_edge_disjoint_hc_exact,
     independence_number_exact,
     is_hamiltonian_exact,
@@ -102,32 +101,47 @@ def test_edge_disjoint_monotone_in_r():
 # budgets
 
 
-def test_budget_validation():
-    with pytest.raises(ValueError):
-        WorkBudget(0)
-    assert WorkBudget(5).max_probes == 5
+def test_budget_below_one_raises_at_first_probe():
+    # A budget is a plain probe count; the CLI and ExperimentConfig reject
+    # one below 1, and an oracle given one aborts at its first probe.
+    g = cycle_graph(6)
+    for budget in (0, -3):
+        for call in (
+            lambda: is_hamiltonian_exact(g, budget),
+            lambda: independence_number_exact(g, budget),
+            lambda: vertex_connectivity_exact(g, budget),
+            lambda: exists_edge_disjoint_hc_exact(g, 1, budget),
+        ):
+            with pytest.raises(BudgetExceededError):
+                call()
+    # ...or returns when it needs none.
+    assert is_hamiltonian_exact(path_graph(5), 0) == (False, None)
+    assert independence_number_exact(Graph(0), 0) == 0
+    assert vertex_connectivity_exact(complete_graph(5), 0) == 4
+    assert vertex_connectivity_exact(Graph(3), -1) == 0
+    assert exists_edge_disjoint_hc_exact(complete_graph(5), 3, 0) is False
 
 
 def test_hamiltonicity_budget_exhaustion():
     g = bipartite_graph(6, 6)  # Hamiltonian but needs some search
     with pytest.raises(BudgetExceededError):
-        is_hamiltonian_exact(g, WorkBudget(3))
+        is_hamiltonian_exact(g, 3)
     assert is_hamiltonian_exact(g)[0] is True
 
 
 def test_independence_budget_exhaustion():
     g = complete_graph(12).complement()
     with pytest.raises(BudgetExceededError):
-        independence_number_exact(g, WorkBudget(2))
+        independence_number_exact(g, 2)
 
 
 def test_connectivity_budget_exhaustion():
     g = bipartite_graph(5, 5)
     with pytest.raises(BudgetExceededError):
-        vertex_connectivity_exact(g, WorkBudget(3))
+        vertex_connectivity_exact(g, 3)
 
 
 def test_edge_disjoint_budget_exhaustion():
     g = complete_graph(9)
     with pytest.raises(BudgetExceededError):
-        exists_edge_disjoint_hc_exact(g, 4, WorkBudget(10))
+        exists_edge_disjoint_hc_exact(g, 4, 10)

@@ -79,6 +79,47 @@ def test_experiment_deterministic_and_parallel_equal():
     assert a.records == c.records
 
 
+@pytest.mark.parametrize(
+    "jobs, samples, cpus, workers",
+    [
+        (100000, 1, 8, None),
+        (100000, 3, 8, 3),
+        (100000, 30, 4, 4),
+        (2, 30, 4, 2),
+        (4, 30, None, None),
+        (1, 30, 4, None),
+        (0, 30, 4, None),
+    ],
+)
+def test_experiment_starts_at_most_one_worker_per_sample_and_cpu(
+    monkeypatch, jobs, samples, cpus, workers
+):
+    # A fork-based pool starts all max_workers processes at the first
+    # submit, so --jobs is capped at the samples and the CPUs; a cap of 1
+    # runs in this process.  The stand-in pool maps here: no process starts.
+    started = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables, chunksize=1):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr("os.cpu_count", lambda: cpus)
+    cfg = _cfg(samples=samples)
+    report = run_experiment(cfg, jobs=jobs)
+    assert started == ([] if workers is None else [workers])
+    assert report.records == run_experiment(cfg).records
+
+
 def test_experiment_p_zero_and_one():
     zero = run_experiment(_cfg(p=0.0, samples=10))
     agg = zero.aggregates()

@@ -1,4 +1,4 @@
-"""What callers see of the nine result records: construction and defaults,
+"""What callers see of the eight result records: construction and defaults,
 the constructor checks, frozenness, equality and hashing, repr and pickling."""
 
 import pickle
@@ -10,8 +10,7 @@ from hamholes.disjoint import DisjointResult
 from hamholes.graph import Graph, complete_graph
 from hamholes.hamilton import CycleSeq, HamResult
 from hamholes.hardness import BipartiteInstance
-from hamholes.holes import DEFAULT_HOLE_BUDGET, BipartiteHole, HoleCertificate
-from hamholes.oracle import WorkBudget
+from hamholes.holes import DEFAULT_BUDGET, BipartiteHole, HoleCertificate
 from hamholes.randomlab import (
     _COLUMNS,
     ExperimentConfig,
@@ -23,7 +22,7 @@ HOLE = BipartiteHole((0, 1), (2,))
 CERT = HoleCertificate(3, (HOLE,))
 CYCLE = CycleSeq(complete_graph(3), (0, 1, 2))
 EDGE = Graph(2, [(0, 1)])
-CONFIG = ExperimentConfig(5, 0.5, 2, 3, 7, WorkBudget(9))
+CONFIG = ExperimentConfig(5, 0.5, 2, 3, 7, 9)
 SAMPLE = SampleRecord(0, 1, False, None, True, None, None, False)
 
 # class, field names in order, positional values, exact repr
@@ -55,7 +54,6 @@ RECORDS = [
         "s_side=(0, 1), t_side=(2,)),)),"
         " translated_certificate=HoleCertificate(k=1, pairs=()))",
     ),
-    (WorkBudget, ("max_probes",), (5,), "WorkBudget(max_probes=5)"),
     (
         BipartiteInstance,
         ("graph", "a", "k"),
@@ -65,9 +63,8 @@ RECORDS = [
     (
         ExperimentConfig,
         ("n", "p", "r", "samples", "seed", "oracle_budget"),
-        (5, 0.5, 2, 3, 7, WorkBudget(9)),
-        "ExperimentConfig(n=5, p=0.5, r=2, samples=3, seed=7,"
-        " oracle_budget=WorkBudget(max_probes=9))",
+        (5, 0.5, 2, 3, 7, 9),
+        "ExperimentConfig(n=5, p=0.5, r=2, samples=3, seed=7, oracle_budget=9)",
     ),
     (
         SampleRecord,
@@ -85,7 +82,7 @@ RECORDS = [
         ("config", "t", "d", "records"),
         (CONFIG, 3, 4, (SAMPLE,)),
         "ExperimentReport(config=ExperimentConfig(n=5, p=0.5, r=2, samples=3,"
-        " seed=7, oracle_budget=WorkBudget(max_probes=9)), t=3, d=4,"
+        " seed=7, oracle_budget=9), t=3, d=4,"
         " records=(SampleRecord(sample=0, delta=1, delta_zero=False,"
         " alpha_gt_2t=None, delta_lt_d=True, has_r_edhc=None,"
         " violation_lower=None, violation_upper=False),))",
@@ -116,16 +113,15 @@ def test_bad_arguments_raise_type_error(cls, names, values, text):
         cls(*values, **{names[0]: values[0]})
     with pytest.raises(TypeError):
         cls(*values, bogus=1)
-    if cls not in (WorkBudget, HamResult):  # every field has a default there
+    if cls is not HamResult:  # every field has a default there
         with pytest.raises(TypeError):
             cls(values[0])
 
 
 def test_defaults():
-    assert WorkBudget() == WorkBudget(DEFAULT_HOLE_BUDGET)
-    assert WorkBudget().max_probes == 10**8
     cfg = ExperimentConfig(5, 0.5)
-    assert (cfg.r, cfg.samples, cfg.seed, cfg.oracle_budget) == (1, 1, 0, WorkBudget())
+    assert (cfg.r, cfg.samples, cfg.seed) == (1, 1, 0)
+    assert cfg.oracle_budget == DEFAULT_BUDGET == 10**8
     assert ExperimentConfig(n=5, p=0.5, seed=4) == ExperimentConfig(5, 0.5, 1, 1, 4)
     assert HamResult(CYCLE).certificate is None
     assert HamResult(certificate=CERT).cycle is None
@@ -140,8 +136,9 @@ def test_defaults():
             lambda: HamResult(cycle=None, certificate=None),
             "exactly one of cycle/certificate must be present",
         ),
-        (lambda: WorkBudget(0), "budget must be positive"),
-        (lambda: WorkBudget(max_probes=0), "budget must be positive"),
+        (lambda: ExperimentConfig(5, 0.5, oracle_budget=0), "budget must be positive"),
+        # Checked before the other fields, so the CLI reports it first.
+        (lambda: ExperimentConfig(2, 0.5, oracle_budget=-5), "budget must be positive"),
         (lambda: BipartiteInstance(Graph(0, []), 0, 1), "parts must be non-empty"),
         (lambda: BipartiteInstance(EDGE, 2, 1), "graph has 2 vertices, expected 4"),
         (lambda: BipartiteInstance(EDGE, 1, 0), "k must be >= 1, got 0"),
