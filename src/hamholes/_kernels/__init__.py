@@ -8,7 +8,6 @@ Callers reach them through this package, so code that wraps
 from __future__ import annotations
 
 from hamholes._kernels._pure import (
-    EXHAUSTED,
     FOUND,
     OVER_BUDGET,
     hamilton_cycle_search,

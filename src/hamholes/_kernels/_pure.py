@@ -116,8 +116,10 @@ def hamilton_cycle_search(adj, n: int, max_nodes: int):
 
     Returns (status, order, nodes): ``order`` is the found cycle as a vertex
     list starting at 0 (None unless status == FOUND), ``nodes`` the number of
-    search nodes expanded.  The caller must pre-filter trivial rejections
-    (n < 3, minimum degree < 2, disconnected); this routine only backtracks.
+    search nodes expanded.  It needs n >= 1.  Filtering out trivial
+    rejections first (n < 3, minimum degree < 2, disconnected) saves time
+    but is not needed for correctness: the search is exhaustive, and the
+    edge-disjoint oracle's last level filters on degree only.
     The first yield is also the first cycle the search closes: the prune
     never cuts a prefix of a Hamilton cycle, so a cycle with
     order[-1] < order[1] would have been closed earlier in its reversed

@@ -472,6 +472,15 @@ def _parse_canonical(text: str) -> Graph | None:
     return None if rows is None else Graph._from_rows(n, rows)
 
 
+def _data_lines(text: str):
+    """(lineno, fields) for each line of text that keeps a token once its
+    ``#`` comment is cut; lineno is the 1-based physical line number."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        fields = raw.split("#", 1)[0].split()
+        if fields:
+            yield lineno, fields
+
+
 def parse_graph(text: str) -> Graph:
     """Parse the edge-list format: header ``n m`` then m lines ``u v``.
 
@@ -481,23 +490,19 @@ def parse_graph(text: str) -> Graph:
     g = _parse_canonical(text)
     if g is not None:
         return g
-    header: tuple[int, int] | None = None
+    lines = _data_lines(text)
+    first = next(lines, None)
+    if first is None:
+        raise GraphFormatError("missing header 'n m'")
+    lineno, fields = first
+    n, m = _ints(fields, "expected header 'n m'", lineno, 2)
+    if n < 0 or m < 0:
+        raise GraphFormatError("header counts must be >= 0", lineno)
+    _check_vertex_count(n, lineno)
     us: list[int] = []
     vs: list[int] = []
     seen: set[Edge] = set()
-    n = m = 0
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        fields = line.split()
-        if header is None:
-            n, m = _ints(fields, "expected header 'n m'", lineno, 2)
-            if n < 0 or m < 0:
-                raise GraphFormatError("header counts must be >= 0", lineno)
-            _check_vertex_count(n, lineno)
-            header = (n, m)
-            continue
+    for lineno, fields in lines:
         if len(us) == m:
             raise GraphFormatError(f"more than {m} edge lines", lineno)
         u, v = _ints(fields, "expected edge 'u v'", lineno, 2)
@@ -511,8 +516,6 @@ def parse_graph(text: str) -> Graph:
         seen.add(key)
         us.append(u)
         vs.append(v)
-    if header is None:
-        raise GraphFormatError("missing header 'n m'")
     if len(us) != m:
         raise GraphFormatError(f"expected {m} edge lines, found {len(us)}")
     return Graph._from_rows(n, _edge_rows(n, us, vs))

@@ -1,9 +1,9 @@
 """Path-rotation Hamiltonicity: a spanning cycle or a hole certificate.
 
 The solver maintains a path, greedily extends it, and tries to close it into
-a cycle using four rewirings (the direct edge, a single flip, a nested
-double flip, and a crossing double flip).  When every rewiring fails on a
-maximal path, the failure itself pins down large bipartite holes: the
+a cycle using three rewirings (a single flip, whose trivial case is the
+direct edge between the ends, a nested double flip, and a crossing double
+flip).  When every rewiring fails on a maximal path, the failure itself pins down large bipartite holes: the
 extracted certificate proves alpha_tilde(g) >= min_degree(g) + 1, i.e. the
 graph escapes the degree-vs-hole sufficient condition.  Total cost is
 O(n^3): at most n path-growth iterations, each O(n^2) in word operations.
@@ -208,10 +208,10 @@ def try_close(g: Graph, p: PathState) -> CycleSeq | None:
     Search order (first hit wins, positions 0-based, f = order[0],
     b = order[-1], m = len(path)):
 
-    - direct: f adjacent to b.
     - (a) single flip: lowest position j with order[j] in N(f) and
       order[j-1] in N(b); cycle f..order[j-1] reversed after walking
-      f, order[j..m-1].
+      f, order[j..m-1].  order[1] is always in N(f), so j = 1 exactly
+      when f is adjacent to b, and the cycle is the path itself.
     - (b) nested double flip: lexicographically least (i, j), both in
       [1, m-2], i <= j, order[i] in N(f), order[j] in N(b), with
       order[i-1] adjacent to order[j+1].
@@ -227,8 +227,6 @@ def try_close(g: Graph, p: PathState) -> CycleSeq | None:
     the path's vertex set, so its mask is the path's.
     """
     _check_maximal(g, p, "try_close")
-    if (g.adj_bits[p.order[0]] >> p.order[-1]) & 1:
-        return CycleSeq._trusted(g, p.order, p.mask)
     return _rewire(g, p, *_closure_masks(g, p.order))
 
 
@@ -248,7 +246,8 @@ def _rewire(g: Graph, p: PathState, a_mask: int, b_mask: int) -> CycleSeq | None
     b_positions = list(_bits(b_mask))
 
     # (b): successors of B positions >= i, as a vertex mask that shrinks as
-    # i sweeps A in ascending order.
+    # i sweeps A in ascending order.  It never empties: m-2 is in B, and
+    # with (a) failed the ends are not adjacent, so every i in A is <= m-2.
     succ = 0
     for j in b_positions:
         succ |= 1 << order[j + 1]
@@ -257,8 +256,6 @@ def _rewire(g: Graph, p: PathState, a_mask: int, b_mask: int) -> CycleSeq | None
         while ptr < len(b_positions) and b_positions[ptr] < i:
             succ &= ~(1 << order[b_positions[ptr] + 1])
             ptr += 1
-        if not succ:
-            break
         hit = adj[order[i - 1]] & succ
         if hit:
             for j in b_positions[ptr:]:
@@ -306,7 +303,6 @@ def extract_certificate(g: Graph, p: PathState) -> HoleCertificate:
     _check_maximal(g, p, "extract_certificate")
     order = p.order
     a_mask, b_mask = _closure_masks(g, order)
-    # (a) at j = 1 is the direct edge, so _rewire alone decides closability.
     if _rewire(g, p, a_mask, b_mask) is not None:
         raise ValueError("path is closable; certificate extraction not allowed")
 

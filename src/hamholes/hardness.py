@@ -17,6 +17,7 @@ from hamholes.errors import BudgetExceededError, GraphFormatError
 from hamholes.graph import (
     Graph,
     _check_vertex_count,
+    _data_lines,
     _ints,
     bipartite_graph,
     disjoint_union,
@@ -76,8 +77,6 @@ def bcbs_to_bhn(inst: BipartiteInstance) -> Graph:
 def _has_balanced_biclique(inst: BipartiteInstance, budget: int) -> bool:
     """Whether K_{k,k} sits in the instance with k vertices per part."""
     a, k = inst.a, inst.k
-    if k > a:
-        return False
     b_mask = ((1 << a) - 1) << a
     probes = 0
     for chosen in itertools.combinations(range(a), k):
@@ -117,32 +116,25 @@ def check_reduction_equivalence(
 
 def parse_instance(text: str) -> BipartiteInstance:
     """Instance text: header ``a b k`` with a = b, then cross edges ``u v``."""
-    header: tuple[int, int, int] | None = None
+    lines = _data_lines(text)
+    first = next(lines, None)
+    if first is None:
+        raise GraphFormatError("missing header 'a b k'")
+    lineno, fields = first
+    a, b, k = _ints(fields, "expected header 'a b k'", lineno, 3)
+    if a != b:
+        raise GraphFormatError(f"parts must balance, got {a} != {b}", lineno)
+    if a < 1 or k < 1:
+        raise GraphFormatError("need a = b >= 1 and k >= 1", lineno)
+    _check_vertex_count(2 * a, lineno)
     edges: list[tuple[int, int]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        fields = line.split()
-        if header is None:
-            a, b, k = _ints(fields, "expected header 'a b k'", lineno, 3)
-            if a != b:
-                raise GraphFormatError(f"parts must balance, got {a} != {b}", lineno)
-            if a < 1 or k < 1:
-                raise GraphFormatError("need a = b >= 1 and k >= 1", lineno)
-            _check_vertex_count(2 * a, lineno)
-            header = (a, b, k)
-            continue
+    for lineno, fields in lines:
         u, v = _ints(fields, "expected edge 'u v'", lineno, 2)
-        a = header[0]
         if not (0 <= u < a <= v < 2 * a):
             raise GraphFormatError(
                 f"edge {u} {v} must satisfy u < {a} <= v < {2 * a}", lineno
             )
         edges.append((u, v))
-    if header is None:
-        raise GraphFormatError("missing header 'a b k'")
-    a, _, k = header
     try:
         graph = Graph(2 * a, edges)
     except ValueError as exc:

@@ -186,11 +186,8 @@ def exists_edge_disjoint_hc_exact(
         if h.m < need * h.n or min_degree(h) < 2 * need:
             return False
         if need == 1:
-            remaining = budget - counter[0]
-            if remaining <= 0:
-                raise NodeBudgetExceeded
             status, _, used = _kernels.hamilton_cycle_search(
-                h.adj_bits, h.n, remaining
+                h.adj_bits, h.n, budget - counter[0]
             )
             counter[0] += used
             if status == _kernels.OVER_BUDGET:

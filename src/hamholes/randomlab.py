@@ -130,14 +130,6 @@ def _and3(x: bool | None, y: bool | None) -> bool | None:
     return True
 
 
-def _or3(x: bool | None, y: bool | None) -> bool | None:
-    if x is True or y is True:
-        return True
-    if x is None or y is None:
-        return None
-    return False
-
-
 def _evaluate_sample(cfg: ExperimentConfig, t: int, d: int, idx: int) -> SampleRecord:
     """Flags of sample idx.  For n <= 20, alpha_tilde > 2t is decided as
     alpha_tilde_at_least(g, 2t + 1), after _check_scan_budget has applied
@@ -164,6 +156,8 @@ def _evaluate_sample(cfg: ExperimentConfig, t: int, d: int, idx: int) -> SampleR
         except BudgetExceededError:
             pass
 
+    # "alpha_tilde > 2t or delta < d", NA only when alpha_gt_2t decides it.
+    covered = True if delta_lt_d else alpha_gt_2t
     # By position, in field order: the quickest and leanest way to build
     # a record.
     return SampleRecord(
@@ -173,8 +167,8 @@ def _evaluate_sample(cfg: ExperimentConfig, t: int, d: int, idx: int) -> SampleR
         alpha_gt_2t,
         delta_lt_d,
         has_r,
-        _and3(delta_zero, has_r),  # violation_lower
-        _and3(_not3(has_r), _not3(_or3(alpha_gt_2t, delta_lt_d))),  # violation_upper
+        has_r if delta_zero else False,  # violation_lower
+        _and3(_not3(has_r), _not3(covered)),  # violation_upper
     )
 
 

@@ -204,3 +204,28 @@ def test_csv_layout():
         assert freq_line.endswith(repr(true / known))
     else:
         assert freq_line.endswith("NA")
+
+
+# Three-valued cells, per sample of each config (seed 1, 4 samples): n = 25
+# is above both oracles' size rules; at n = 16 only has_r_edhc is NA, and
+# violation_upper is NA unless delta_lt_d already names a cause.
+NA_CASES = [
+    (25, 0.9, {"alpha_gt_2t": "NA", "has_r_edhc": "NA", "violation_upper": "NA"},
+     "# count violation_upper: 0/4 known=0"),
+    (16, 0.9, {"alpha_gt_2t": "0", "has_r_edhc": "NA", "violation_upper": "NA"},
+     "# count violation_upper: 0/4 known=0"),
+    (16, 0.3, {"delta_lt_d": "1", "has_r_edhc": "NA", "violation_upper": "0"},
+     "# count violation_upper: 0/4 known=4"),
+]
+
+
+@pytest.mark.parametrize("n, p, cells, count_line", NA_CASES)
+def test_na_propagates_through_the_violation_columns(n, p, cells, count_line):
+    csv = run_experiment(ExperimentConfig(n, p, samples=4, seed=1)).to_csv()
+    lines = csv.splitlines()
+    cols = lines[0].split(",")
+    rows = [dict(zip(cols, line.split(","))) for line in lines[1:5]]
+    for row in rows:
+        assert {key: row[key] for key in cells} == cells
+        assert row["violation_lower"] == "0"
+    assert count_line in lines
