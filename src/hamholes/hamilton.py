@@ -3,10 +3,11 @@
 The solver maintains a path, greedily extends it, and tries to close it into
 a cycle using three rewirings (a single flip, whose trivial case is the
 direct edge between the ends, a nested double flip, and a crossing double
-flip).  When every rewiring fails on a maximal path, the failure itself pins down large bipartite holes: the
-extracted certificate proves alpha_tilde(g) >= min_degree(g) + 1, i.e. the
-graph escapes the degree-vs-hole sufficient condition.  Total cost is
-O(n^3): at most n path-growth iterations, each O(n^2) in word operations.
+flip).  When every rewiring fails on a maximal path, the failure itself
+pins down large bipartite holes: the extracted certificate proves
+alpha_tilde(g) >= min_degree(g) + 1, i.e. the graph escapes the
+degree-vs-hole sufficient condition.  Total cost is O(n^3): at most n
+path-growth iterations, each O(n^2) in word operations.
 
 Positions inside a path are 0-based throughout this module; the docstrings
 spell out interval endpoints where off-by-one matters.
