@@ -60,9 +60,10 @@ def main(args: list[str]) -> int:
     ran_abs = {(os.path.abspath(name), line) for name, line in ran}
     missed = 0
     for path in sorted(SRC.rglob("*.py")):
-        source = path.read_text().splitlines()
-        code = compile("\n".join(source), str(path), "exec")
-        for line in sorted(_lines(code) - {0}):
+        text = path.read_text()
+        source = text.splitlines()
+        # Line 0 holds the module's start-up instruction, never a line event.
+        for line in sorted(_lines(compile(text, str(path), "exec")) - {0}):
             if (str(path), line) not in ran_abs:
                 print(f"{path.relative_to(ROOT)}:{line}: {source[line - 1].strip()}")
                 missed += 1
