@@ -12,7 +12,7 @@ import re
 from collections import deque
 from collections.abc import Iterable
 from itertools import compress, repeat
-from operator import index
+from operator import index, setitem
 
 from hamholes.errors import GraphFormatError
 
@@ -134,11 +134,13 @@ def _row(nbrs: list[int]) -> int:
     once, or carries into a higher bit; either way the row ends up with
     fewer bits than ``nbrs`` has entries."""
     width = max(nbrs, default=-1) + 1
-    # Summing powers of two costs O(entries * width) but has the least
-    # overhead, so it suits small rows.  One ASCII digit per vertex, read by
-    # int() in linear time, suits dense rows; one byte per 8 vertices, set
-    # one entry at a time, suits wide sparse rows.  (Crossovers measured on
-    # rows of width 100 to 100000.)
+    # Only a sparse graph's rows come here (see _edge_rows), yet one of them
+    # may still hold a dense block.  Summing powers of two costs
+    # O(entries * width) but has the least overhead, so it suits small rows.
+    # One ASCII digit per vertex, read by int() in linear time, suits rows at
+    # least 1/16 full; one byte per 8 vertices, set one entry at a time,
+    # suits wide sparse rows.  (Crossovers measured on rows of width 100 to
+    # 100000.)
     if len(nbrs) * width < 1 << 16:
         return sum(map(_BIT, nbrs))
     if 16 * len(nbrs) >= width:
@@ -158,18 +160,33 @@ def _edge_rows(n: int, us: list[int], vs: list[int]) -> list[int] | None:
 
     Both callers pass non-negative ids (the canonical layout admits only
     digits, and the line loop range-checks each edge), so only the upper
-    bound is checked.  Checks and neighbour lists run in C-level builtins;
-    only the rows are built per vertex.
+    bound is checked.  The 1/16 fill rule that _row applies per row picks
+    the builder per graph first: when the rows are on average at least 1/16
+    full (32m >= n^2, so the buffers take at most 32 bytes per edge), both
+    ends of every edge write a "1" straight into one ASCII digit row per
+    vertex, where an out-of-range id raises IndexError; sparser graphs get
+    neighbour lists, each row built by _row.  The checks and the per-edge
+    work run in C-level builtins; only the rows are built per vertex.
     """
-    if us and (max(us) >= n or max(vs) >= n):
-        return None
-    nbrs: list[list[int]] = [[] for _ in range(n)]
-    deque(map(list.append, map(nbrs.__getitem__, vs), us), maxlen=0)
-    deque(map(list.append, map(nbrs.__getitem__, us), vs), maxlen=0)
-    rows = list(map(_row, nbrs))
-    # Each edge put one entry in two lists, so the rows hold 2m bits unless
-    # some list repeats a vertex: a duplicate edge, or a self-loop (u twice
-    # in its own list).
+    if 32 * len(us) >= n * n:
+        digits = [bytearray(b"0") * n for _ in range(n)]
+        row = digits.__getitem__
+        try:
+            deque(map(setitem, map(row, us), vs, repeat(ord("1"))), maxlen=0)
+            deque(map(setitem, map(row, vs), us, repeat(ord("1"))), maxlen=0)
+        except IndexError:
+            return None
+        deque(map(bytearray.reverse, digits), maxlen=0)
+        rows = list(map(int, digits, repeat(2)))
+    else:
+        if us and (max(us) >= n or max(vs) >= n):
+            return None
+        nbrs: list[list[int]] = [[] for _ in range(n)]
+        deque(map(list.append, map(nbrs.__getitem__, vs), us), maxlen=0)
+        deque(map(list.append, map(nbrs.__getitem__, us), vs), maxlen=0)
+        rows = list(map(_row, nbrs))
+    # Each edge set two entries, so the rows hold 2m bits unless some row got
+    # a vertex twice: a duplicate edge, or a self-loop (u twice in u's row).
     if sum(map(int.bit_count, rows)) != 2 * len(us):
         return None
     return rows
@@ -326,9 +343,10 @@ def generate(spec: str, seed: int | None = None) -> Graph:
     Atomic families: ``complete N``, ``bipartite A B``, ``cycle N``,
     ``path N``, ``petersen``, ``fan-example K L``, ``gnp N P`` (requires
     ``seed``).  Composites: ``complement-of (SPEC)`` and
-    ``disjoint-union (SPEC) (SPEC)``.  Every ``gnp`` occurrence uses the
-    same ``seed`` argument.  Sub-specs nest at most ``SPEC_MAX_DEPTH`` (64)
-    levels deep; a deeper spec raises ``ValueError``.
+    ``disjoint-union (SPEC) (SPEC)``; commas before a sub-spec are skipped,
+    so ``disjoint-union (SPEC), (SPEC)`` is the same spec.  Every ``gnp``
+    occurrence uses the same ``seed`` argument.  Sub-specs nest at most
+    ``SPEC_MAX_DEPTH`` (64) levels deep; a deeper spec raises ``ValueError``.
     """
     toks = _TOKEN.findall(spec)
     g, pos = _parse_spec(toks, 0, seed, 0)

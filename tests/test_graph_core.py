@@ -224,6 +224,26 @@ def test_generate_errors():
         generate("complement-of complete 3")  # missing parentheses
     with pytest.raises(ValueError):
         generate("")
+    with pytest.raises(ValueError, match="^spec ended while expecting a number$"):
+        generate("cycle")
+    with pytest.raises(ValueError, match="^expected '\\)' closing a sub-spec$"):
+        generate("complement-of (cycle 4")
+    with pytest.raises(ValueError, match="^trailing tokens in spec: ,$"):
+        generate("disjoint-union (cycle 3) (cycle 4),")  # no sub-spec follows
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        "disjoint-union (cycle 3), (cycle 4)",
+        "disjoint-union (cycle 3), , (cycle 4)",
+        "disjoint-union, (cycle 3) ,(cycle 4)",
+        "complement-of , (disjoint-union (cycle 3),(cycle 4))",
+    ],
+)
+def test_generate_skips_commas_before_a_sub_spec(spec):
+    assert generate(spec) == generate(spec.replace(",", " "))
+    assert generate(spec).n == 7
 
 
 # ---------------------------------------------------------------------------
@@ -234,8 +254,11 @@ def _circulant(n, steps):
     return Graph(n, [(u, (u + s) % n) for u in range(n) for s in steps])
 
 
-# Rows are built three ways: small rows, dense rows (complete_graph(300))
-# and wide sparse rows (the 22-regular circulant on 4096 vertices).
+# A graph whose rows are on average at least 1/16 full is read through one
+# digit row per vertex (complete_graph(300)); a sparser one gets neighbour
+# lists, each row built as a sum of small rows, as the digits of a dense row
+# (the hub of the star K(1, 4095)) or as the bytes of a wide sparse row (the
+# 22-regular circulant on 4096 vertices).
 LARGE_ROWS = [complete_graph(300), _circulant(4096, [1, *range(300, 3300, 300)])]
 
 
@@ -249,6 +272,7 @@ def test_graph_round_trip():
         gnp_graph(300, 0.02, 1),
         complete_graph(60),
         bipartite_graph(50, 70),
+        bipartite_graph(1, 4095),
         *LARGE_ROWS,
     ]:
         text = serialize_graph(g)
@@ -268,6 +292,26 @@ def test_parse_rejects_duplicate_in_large_rows(g):
         with pytest.raises(GraphFormatError) as err:
             parse_graph(sep.join(lines))
         assert str(err.value) == f"line {len(lines)}: duplicate edge {v} {u}"
+
+
+@pytest.mark.parametrize(
+    "n,edges,lists",
+    [
+        (8, [(0, 1), (2, 3)], False),  # 32m = n^2: digit rows
+        (8, [(0, 1)], True),  # 32m < n^2: neighbour lists
+        (0, [], False),
+        (1, [], True),
+    ],
+)
+def test_row_builder_switches_at_one_sixteenth(monkeypatch, n, edges, lists):
+    calls = []
+    row = graph_module._row
+    monkeypatch.setattr(graph_module, "_row", lambda nbrs: calls.append(1) or row(nbrs))
+    text = "\n".join([f"{n} {len(edges)}", *(f"{u} {v}" for u, v in edges)])
+    for layout in (text, text.replace("\n", " \n")):
+        calls.clear()
+        assert parse_graph(layout) == Graph(n, edges)
+        assert len(calls) == (n if lists else 0)
 
 
 def test_serialize_layout():
@@ -335,9 +379,10 @@ def test_parse_allocation_follows_edges(text):
 
 @pytest.mark.parametrize("n,p", [(700, 0.5), (4000, 0.01)])
 def test_canonical_parse_allocation_follows_edges(n, p):
-    # About 122k and 80k edges.  The numbers, their two column slices and the
-    # neighbour lists peak near 11 MB; a layout regex holding backtracking
-    # state per line would peak near 24 and 16 MB.
+    # About 122k and 80k edges.  The numbers and their two column slices,
+    # plus the digit rows of G(700, 0.5) or the neighbour lists of
+    # G(4000, 0.01), peak near 10 and 11 MB; a layout regex holding
+    # backtracking state per line would peak near 24 and 16 MB.
     g = gnp_graph(n, p, 1)
     text = serialize_graph(g) + "\n"
     tracemalloc.start()

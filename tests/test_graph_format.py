@@ -2,6 +2,7 @@
 line-by-line loop, and Graph() against a per-edge reference."""
 
 import os
+import random
 import shutil
 import subprocess
 from pathlib import Path
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 
 import hamholes
 from hamholes.errors import GraphFormatError
-from hamholes.graph import Graph, parse_graph, serialize_graph
+from hamholes.graph import Graph, gnp_graph, parse_graph, serialize_graph
 
 SETTINGS = settings(max_examples=150, deadline=None)
 
@@ -133,6 +134,34 @@ def test_corrupt_line_same_error_on_both_paths(case, corruption, data):
     ],
 )
 def test_number_past_digit_limit_is_a_format_error(text, expected):
+    assert outcome(text) == outcome(padded(text)) == expected
+
+
+# G(60, 0.5) fills its rows well past 1/16 on average (32m >= n^2), so the
+# bulk parse writes digit rows; 50 edges on 200 vertices stay below that, so
+# it builds neighbour lists.
+PAIRS_200 = [(u, v) for u in range(200) for v in range(u + 1, 200)]
+ROW_PATHS = {
+    "digit-rows": gnp_graph(60, 0.5, 1),
+    "neighbour-lists": Graph(200, random.Random(1).sample(PAIRS_200, 50)),
+}
+
+
+@pytest.mark.parametrize("corruption", ["reversed-duplicate", "self-loop", "vertex-n"])
+@pytest.mark.parametrize("path", ROW_PATHS)
+def test_bad_edge_same_error_on_both_row_paths(path, corruption):
+    g = ROW_PATHS[path]
+    lines = serialize_graph(g).split("\n")
+    k = len(lines) // 2  # an edge line in the middle, line k + 1 of the text
+    a, b = lines[1].split()
+    u = lines[k].split()[0]
+    lines[k], complaint = {
+        "reversed-duplicate": (f"{b} {a}", f"duplicate edge {b} {a}"),
+        "self-loop": (f"{u} {u}", f"self-loop at vertex {u}"),
+        "vertex-n": (f"{u} {g.n}", f"vertex out of range in edge {u} {g.n}"),
+    }[corruption]
+    text = "\n".join(lines) + "\n"
+    expected = (f"line {k + 1}: {complaint}", k + 1)
     assert outcome(text) == outcome(padded(text)) == expected
 
 

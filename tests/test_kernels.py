@@ -201,6 +201,14 @@ def test_hole_search_matches_brute_force_on_every_split(g):
         _assert_hole_search_matches(g, a)
 
 
+def test_hole_search_with_fewer_than_b_vertices_finds_nothing():
+    # With a = 0 only the n < b guard keeps the empty X from being reported
+    # as a hole; holes._hole_side never calls the kernel with a + b > n.
+    adj = Graph(3).adj_bits
+    assert _pure.hole_search(adj, 3, 0, 4) is None
+    assert _pure.hole_search(adj, 3, 1, 4) is None
+
+
 def test_deep_hole_search_needs_no_recursion():
     # X has 1200 vertices, so a search with one frame per picked vertex
     # would pass the interpreter's recursion limit.

@@ -3,7 +3,7 @@
 import pytest
 
 from corpusutil import random_graphs
-from hamholes.errors import BudgetExceededError
+from hamholes.errors import BudgetExceededError, CertificateError
 from hamholes.graph import (
     Graph,
     bipartite_graph,
@@ -11,10 +11,13 @@ from hamholes.graph import (
     cycle_graph,
     disjoint_union,
     fan_example_graph,
+    gnp_graph,
     min_degree,
     path_graph,
     petersen_graph,
 )
+from hamholes.hardness import check_reduction_equivalence, parse_instance
+from hamholes.holes import HoleCertificate, has_bipartite_hole, verify_certificate
 from hamholes.oracle import (
     exists_edge_disjoint_hc_exact,
     independence_number_exact,
@@ -145,3 +148,60 @@ def test_edge_disjoint_budget_exhaustion():
     g = complete_graph(9)
     with pytest.raises(BudgetExceededError):
         exists_edge_disjoint_hc_exact(g, 4, 10)
+
+
+# ---------------------------------------------------------------------------
+# exact-or-abort and argument checks
+
+
+@pytest.mark.parametrize(
+    "call,error,message",
+    [
+        (
+            lambda: check_reduction_equivalence(parse_instance("3 3 2\n"), 1),
+            BudgetExceededError,
+            "biclique enumeration exceeded 1 probes",
+        ),
+        (lambda: complete_graph(0), ValueError, "complete graph needs n >= 1"),
+        (lambda: bipartite_graph(0, 1), ValueError, "bipartite graph needs a, b >= 1"),
+        (lambda: path_graph(0), ValueError, "path graph needs n >= 1"),
+        (lambda: gnp_graph(0, 0.5, 1), ValueError, "gnp needs n >= 1"),
+        (lambda: Graph(3).has_edge(0, 3), ValueError, "vertex out of range: (0, 3)"),
+        (
+            lambda: has_bipartite_hole(complete_graph(4), 0, 1),
+            ValueError,
+            "hole sides must be positive, got (0, 1)",
+        ),
+        (
+            lambda: verify_certificate(complete_graph(4), HoleCertificate(0, ())),
+            CertificateError,
+            "k must be >= 1, got 0",
+        ),
+        (
+            lambda: vertex_connectivity_exact(Graph(0)),
+            ValueError,
+            "connectivity needs a nonempty graph",
+        ),
+        (
+            lambda: exists_edge_disjoint_hc_exact(Graph(2, [(0, 1)]), 1),
+            ValueError,
+            "edge-disjoint search needs n >= 3, got 2",
+        ),
+    ],
+    ids=[
+        "biclique-budget",
+        "complete-0",
+        "bipartite-0-1",
+        "path-0",
+        "gnp-0",
+        "has-edge-range",
+        "hole-sides",
+        "certificate-k",
+        "connectivity-empty",
+        "edge-disjoint-n2",
+    ],
+)
+def test_exact_or_abort_and_argument_checks(call, error, message):
+    with pytest.raises(error) as err:
+        call()
+    assert str(err.value) == message
