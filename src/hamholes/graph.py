@@ -126,28 +126,12 @@ def _bits(mask: int):
         mask ^= low
 
 
-_BIT = (1).__lshift__
-
-
 def _row(nbrs: list[int]) -> int:
-    """Bitmask of the vertices in ``nbrs``.  A repeated vertex sets its bit
-    once, or carries into a higher bit; either way the row ends up with
-    fewer bits than ``nbrs`` has entries."""
+    """Bitmask of the vertices in ``nbrs``: one byte per 8 vertices, each
+    entry set in place, then read by int.from_bytes.  A repeated vertex sets
+    its bit once, so the row ends up with fewer bits than ``nbrs`` has
+    entries."""
     width = max(nbrs, default=-1) + 1
-    # Only a sparse graph's rows come here (see _edge_rows), yet one of them
-    # may still hold a dense block.  Summing powers of two costs
-    # O(entries * width) but has the least overhead, so it suits small rows.
-    # One ASCII digit per vertex, read by int() in linear time, suits rows at
-    # least 1/16 full; one byte per 8 vertices, set one entry at a time,
-    # suits wide sparse rows.  (Crossovers measured on rows of width 100 to
-    # 100000.)
-    if len(nbrs) * width < 1 << 16:
-        return sum(map(_BIT, nbrs))
-    if 16 * len(nbrs) >= width:
-        digits = bytearray(b"0") * width
-        deque(map(digits.__setitem__, nbrs, repeat(ord("1"))), maxlen=0)
-        digits.reverse()
-        return int(digits, 2)
     packed = bytearray((width + 7) // 8)
     for v in nbrs:
         packed[v >> 3] |= 1 << (v & 7)
@@ -160,13 +144,13 @@ def _edge_rows(n: int, us: list[int], vs: list[int]) -> list[int] | None:
 
     Both callers pass non-negative ids (the canonical layout admits only
     digits, and the line loop range-checks each edge), so only the upper
-    bound is checked.  The 1/16 fill rule that _row applies per row picks
-    the builder per graph first: when the rows are on average at least 1/16
-    full (32m >= n^2, so the buffers take at most 32 bytes per edge), both
-    ends of every edge write a "1" straight into one ASCII digit row per
-    vertex, where an out-of-range id raises IndexError; sparser graphs get
-    neighbour lists, each row built by _row.  The checks and the per-edge
-    work run in C-level builtins; only the rows are built per vertex.
+    bound is checked.  One rule per graph, with no rule per row, picks the
+    builder: when the rows are on average at least 1/16 full (32m >= n^2,
+    so the buffers take at most 32 bytes per edge), both ends of every edge
+    write a "1" straight into one ASCII digit row per vertex, where an
+    out-of-range id raises IndexError; sparser graphs get neighbour lists,
+    each row built by _row.  The checks and the per-edge work run in C-level
+    builtins; only the rows are built per vertex.
     """
     if 32 * len(us) >= n * n:
         digits = [bytearray(b"0") * n for _ in range(n)]

@@ -227,9 +227,9 @@ def run_experiment(cfg: ExperimentConfig, jobs: int = 1) -> ExperimentReport:
 
     Samples are independent: they are farmed to a pool of
     min(jobs, samples, CPU count) worker processes, or run in this process
-    when that is 1.  The report is identical to a sequential run because
-    each sample is seeded by its index and the pool's map returns the
-    records in index order.  The cap matters because a fork-based pool
+    when that is at most 1.  The report is identical to a sequential run
+    because each sample is seeded by its index and the pool's map returns
+    the records in index order.  The cap matters because a fork-based pool
     starts all its workers at the first submit.
     """
     t, d = lemma6_params(cfg.n, cfg.r)

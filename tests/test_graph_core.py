@@ -80,6 +80,8 @@ def test_equality_and_hash():
     assert a == b and hash(a) == hash(b)
     assert a != Graph(3, [(0, 1)])
     assert a != Graph(4, [(0, 1), (1, 2)])
+    assert Graph(1).__eq__(1) is NotImplemented
+    assert Graph(1) != 1
 
 
 def test_complement_involution_and_c5():
@@ -256,9 +258,8 @@ def _circulant(n, steps):
 
 # A graph whose rows are on average at least 1/16 full is read through one
 # digit row per vertex (complete_graph(300)); a sparser one gets neighbour
-# lists, each row built as a sum of small rows, as the digits of a dense row
-# (the hub of the star K(1, 4095)) or as the bytes of a wide sparse row (the
-# 22-regular circulant on 4096 vertices).
+# lists, each packed into one byte per 8 vertices by _row (the 22-regular
+# circulant on 4096 vertices, whose rows are wide and sparse).
 LARGE_ROWS = [complete_graph(300), _circulant(4096, [1, *range(300, 3300, 300)])]
 
 

@@ -80,6 +80,16 @@ def test_path_and_cycle_on_the_same_order_differ():
     assert repr(c) == "CycleSeq([0, 1, 2])"
 
 
+def test_states_of_another_graph_are_refused():
+    k5, c5 = complete_graph(5), cycle_graph(5)
+    path = PathState(c5, (0, 1, 2, 3, 4))
+    for step in (extend_maximal, try_close, extract_certificate):
+        with pytest.raises(ValueError, match="^path does not belong to this graph$"):
+            step(k5, path)
+    with pytest.raises(ValueError, match="^cycle does not belong to this graph$"):
+        reopen_cycle(k5, CycleSeq(c5, (0, 1, 2, 3, 4)))
+
+
 def test_cycle_edges_cover_wraparound():
     c = CycleSeq(cycle_graph(4), (0, 1, 2, 3))
     assert sorted(tuple(sorted(e)) for e in c.edges()) == [

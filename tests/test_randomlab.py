@@ -89,14 +89,16 @@ def test_experiment_deterministic_and_parallel_equal():
         (4, 30, None, None),
         (1, 30, 4, None),
         (0, 30, 4, None),
+        (-5, 30, 4, None),
     ],
 )
 def test_experiment_starts_at_most_one_worker_per_sample_and_cpu(
     monkeypatch, jobs, samples, cpus, workers
 ):
     # A fork-based pool starts all max_workers processes at the first
-    # submit, so --jobs is capped at the samples and the CPUs; a cap of 1
-    # runs in this process.  The stand-in pool maps here: no process starts.
+    # submit, so --jobs is capped at the samples and the CPUs; a cap of at
+    # most 1 runs in this process.  The stand-in pool maps here: no process
+    # starts.
     started = []
 
     class InProcessPool:
