@@ -9,8 +9,8 @@ extraction, a hardness reduction from balanced complete bipartite
 subgraphs, and a seeded random-graph laboratory round out the toolkit.
 
 Only the names in ``__all__`` are re-exported here.  Helpers such as the
-rotation steps, the named generators and the experiment's event checks stay
-importable from their submodules.
+rotation steps, the named generators and randomlab's ``SampleRecord``,
+``lemma6_params`` and ``sample_seed`` stay importable from their submodules.
 """
 
 from hamholes._kernels import BACKEND

@@ -2,7 +2,9 @@
 and independence branch and bound, all implemented once, in ``_pure``.
 
 Callers reach them through this package, so code that wraps
-``_kernels.hole_search`` and its siblings sees every call.
+``_kernels.hole_search`` and its siblings sees every call to them.  The
+one exception: the edge-disjoint oracle's middle levels enumerate cycles
+through ``_pure.hamilton_cycles``, which no wrapper on this package sees.
 """
 
 from __future__ import annotations

@@ -83,12 +83,8 @@ class Graph:
     def edges(self):
         """Yield edges as (u, v) with u < v, in lexicographic order."""
         for u in range(self.n):
-            w = self._adj[u] >> (u + 1)
-            base = u + 1
-            while w:
-                low = w & -w
-                yield (u, base + low.bit_length() - 1)
-                w ^= low
+            for v in _bits(self._adj[u] >> (u + 1)):
+                yield (u, u + 1 + v)
 
     def remove_edges(self, pairs: Iterable[Edge]) -> Graph:
         """New graph with the given edges deleted; every pair must be an edge."""
@@ -332,60 +328,55 @@ def generate(spec: str, seed: int | None = None) -> Graph:
     occurrence uses the same ``seed`` argument.  Sub-specs nest at most
     ``SPEC_MAX_DEPTH`` (64) levels deep; a deeper spec raises ``ValueError``.
     """
-    toks = _TOKEN.findall(spec)
-    g, pos = _parse_spec(toks, 0, seed, 0)
-    if pos != len(toks):
-        raise ValueError(f"trailing tokens in spec: {' '.join(toks[pos:])}")
+    toks = deque(_TOKEN.findall(spec))
+    g = _spec(toks, seed, 0)
+    if toks:
+        raise ValueError(f"trailing tokens in spec: {' '.join(toks)}")
     return g
 
 
-def _parse_spec(
-    toks: list[str], pos: int, seed: int | None, depth: int
-) -> tuple[Graph, int]:
+def _spec(toks: deque[str], seed: int | None, depth: int) -> Graph:
+    """Read one spec off the front of toks: a family name, then its numbers
+    or sub-specs."""
     if depth > SPEC_MAX_DEPTH:
         raise ValueError(f"family spec nests deeper than {SPEC_MAX_DEPTH} levels")
-
-    def number(kind):
-        nonlocal pos
-        if pos >= len(toks):
-            raise ValueError("spec ended while expecting a number")
-        try:
-            val = kind(toks[pos])
-        except ValueError:
-            raise ValueError(f"expected a number, got {toks[pos]!r}") from None
-        pos += 1
-        return val
-
-    def subspec():
-        nonlocal pos
-        while pos < len(toks) and toks[pos] == ",":
-            pos += 1
-        if pos >= len(toks) or toks[pos] != "(":
-            raise ValueError("expected '(' introducing a sub-spec")
-        pos += 1
-        sub, pos = _parse_spec(toks, pos, seed, depth + 1)
-        if pos >= len(toks) or toks[pos] != ")":
-            raise ValueError("expected ')' closing a sub-spec")
-        pos += 1
-        return sub
-
-    if pos >= len(toks):
+    if not toks:
         raise ValueError("empty family spec")
-    name = toks[pos]
-    pos += 1
+    name = toks.popleft()
     if name in FAMILIES:
         builder, params = FAMILIES[name]
-        args = [number(float if param == "p" else int) for param in params]
+        args = [_number(toks, float if param == "p" else int) for param in params]
         if name == "gnp":
             args.append(seed)
-        return globals()[builder](*args), pos
+        return globals()[builder](*args)
     if name == "complement-of":
-        return subspec().complement(), pos
+        return _subspec(toks, seed, depth).complement()
     if name == "disjoint-union":
-        left = subspec()
-        right = subspec()
-        return disjoint_union(left, right), pos
+        return disjoint_union(_subspec(toks, seed, depth), _subspec(toks, seed, depth))
     raise ValueError(f"unknown family {name!r}")
+
+
+def _number(toks: deque[str], kind: type) -> int | float:
+    """Read one number of the given kind off the front of toks."""
+    if not toks:
+        raise ValueError("spec ended while expecting a number")
+    tok = toks.popleft()
+    try:
+        return kind(tok)
+    except ValueError:
+        raise ValueError(f"expected a number, got {tok!r}") from None
+
+
+def _subspec(toks: deque[str], seed: int | None, depth: int) -> Graph:
+    """Read ``(SPEC)`` off the front of toks, skipping commas before it."""
+    while toks and toks[0] == ",":
+        toks.popleft()
+    if not toks or toks.popleft() != "(":
+        raise ValueError("expected '(' introducing a sub-spec")
+    sub = _spec(toks, seed, depth + 1)
+    if not toks or toks.popleft() != ")":
+        raise ValueError("expected ')' closing a sub-spec")
+    return sub
 
 
 # ---------------------------------------------------------------------------

@@ -20,11 +20,7 @@ from operator import itemgetter
 from hamholes._record import Record
 from hamholes.errors import ContractViolationError, GraphFormatError
 from hamholes.graph import Graph, _bits, _ints, _keyword_header, components, min_degree
-from hamholes.holes import (
-    BipartiteHole,
-    HoleCertificate,
-    verify_certificate,
-)
+from hamholes.holes import BipartiteHole, HoleCertificate, _self_checked
 
 
 class _VertexSeq:
@@ -333,13 +329,7 @@ def extract_certificate(g: Graph, p: PathState) -> HoleCertificate:
                 f" need ({s}, {t})"
             )
         pairs.append(BipartiteHole(tuple(d_set[:s]), tuple(c_set[:t])))
-
-    cert = HoleCertificate(k, tuple(pairs))
-    try:
-        verify_certificate(g, cert)
-    except Exception as exc:
-        raise ContractViolationError(f"extracted certificate invalid: {exc}") from exc
-    return cert
+    return _self_checked(g, k, pairs, "extracted")
 
 
 def disconnected_certificate(g: Graph) -> HoleCertificate:
@@ -355,16 +345,11 @@ def disconnected_certificate(g: Graph) -> HoleCertificate:
     delta = min_degree(g)
     k = delta + 2
     first, second = comps[0], comps[1]
-    pairs = tuple(
+    pairs = (
         BipartiteHole(tuple(first[:i]), tuple(second[: k - i]))
         for i in range(1, k // 2 + 1)
     )
-    cert = HoleCertificate(k, pairs)
-    try:
-        verify_certificate(g, cert)
-    except Exception as exc:
-        raise ContractViolationError(f"component certificate invalid: {exc}") from exc
-    return cert
+    return _self_checked(g, k, pairs, "component")
 
 
 def reopen_cycle(g: Graph, c: CycleSeq) -> PathState:

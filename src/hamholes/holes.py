@@ -199,6 +199,21 @@ def verify_certificate(g: Graph, c: HoleCertificate) -> int:
     return c.k
 
 
+def _self_checked(g: Graph, k: int, pairs, what: str) -> HoleCertificate:
+    """HoleCertificate(k, pairs), verified against g before it is returned.
+
+    Every certificate the package builds goes through here.  Its producer's
+    proof guarantees it, so a failed check is a bug: ContractViolationError,
+    its message led by ``what`` (extracted, component or translated).
+    """
+    cert = HoleCertificate(k, tuple(pairs))
+    try:
+        verify_certificate(g, cert)
+    except CertificateError as exc:
+        raise ContractViolationError(f"{what} certificate invalid: {exc}") from exc
+    return cert
+
+
 def translate_certificate(
     c: HoleCertificate, removed_cycles, g: Graph
 ) -> HoleCertificate:
@@ -214,7 +229,9 @@ def translate_certificate(
     vertex has exactly 2 neighbors on each removed cycle, so at least
     c.k - j - 2*r_hat*j vertices remain, which is >= k'-j because
     c.k >= K >= k'(r_hat + 1) and 2j <= k'; none of them sees S_j in g.
-    Shortfalls indicate a caller bug and raise ContractViolationError.
+    c itself must verify against g minus the cycles (CertificateError
+    otherwise).  A shortfall, or a result that fails its check against g,
+    is a bug and raises ContractViolationError (CLI exit 4).
     """
     removed_cycles = list(removed_cycles)
     all_edges = []
@@ -250,9 +267,7 @@ def translate_certificate(
         pairs.append(
             BipartiteHole(tuple(hole.s_side[:j]), tuple(survivors[: k_prime - j]))
         )
-    out = HoleCertificate(k_prime, tuple(pairs))
-    verify_certificate(g, out)
-    return out
+    return _self_checked(g, k_prime, pairs, "translated")
 
 
 # ---------------------------------------------------------------------------

@@ -180,17 +180,11 @@ class ExperimentReport(Record):
 
     def aggregates(self) -> dict[str, object]:
         """Counts/frequencies recomputed from the records every call."""
-
-        def counted(flags):
-            flags = list(flags)
-            known = sum(1 for f in flags if f is not None)
-            true = sum(1 for f in flags if f is True)
-            return true, known
-
         recs = self.records
         out: dict[str, object] = {"samples": len(recs)}
         for key in _COUNTED:
-            out[key] = counted(getattr(r, key) for r in recs)
+            flags = [getattr(r, key) for r in recs]
+            out[key] = flags.count(True), len(flags) - flags.count(None)
         out["reference_pow"] = (1.0 - self.config.p) ** self.config.n
         return out
 

@@ -15,6 +15,7 @@ from hamholes.graph import (
     FAMILIES,
     SPEC_MAX_DEPTH,
     complete_graph,
+    generate,
     parse_graph,
     serialize_graph,
 )
@@ -319,6 +320,28 @@ def test_internal_error_exits_4(workdir, capsys, monkeypatch):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: internal: case (b) hit without a matching j\n"
+
+
+@pytest.mark.parametrize(
+    "command, spec, what",
+    [
+        ("hamilton", "bipartite 2 3", "extracted"),
+        ("hamilton", "disjoint-union (complete 3) (complete 3)", "component"),
+        ("disjoint", "complete 7", "translated"),
+    ],
+)
+def test_a_failed_self_check_exits_4(
+    workdir, capsys, fail_checks_on, command, spec, what
+):
+    g = generate(spec)
+    fail_checks_on(g)
+    (workdir / "g.txt").write_text(serialize_graph(g) + "\n")
+    assert run_cli(command, "g.txt") == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: internal: {what} certificate invalid: pair 1: forced failure\n"
+    )
 
 
 def test_stdin_dash(workdir, capsys, monkeypatch):

@@ -222,14 +222,22 @@ def test_generate_errors():
         generate("complete 3 4")
     with pytest.raises(ValueError, match="seed"):
         generate("gnp 5 0.5")  # no seed supplied
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^expected '\\(' introducing a sub-spec$"):
         generate("complement-of complete 3")  # missing parentheses
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^empty family spec$"):
         generate("")
+    with pytest.raises(ValueError, match="^empty family spec$"):
+        generate("complement-of (")
+    with pytest.raises(ValueError, match="^unknown family '\\)'$"):
+        generate("complement-of ()")
+    with pytest.raises(ValueError, match="^expected '\\(' introducing a sub-spec$"):
+        generate("disjoint-union (cycle 3)")  # one sub-spec of two
     with pytest.raises(ValueError, match="^spec ended while expecting a number$"):
         generate("cycle")
     with pytest.raises(ValueError, match="^expected '\\)' closing a sub-spec$"):
         generate("complement-of (cycle 4")
+    with pytest.raises(ValueError, match="^expected '\\)' closing a sub-spec$"):
+        generate("complement-of (cycle 4 5)")  # a token where ')' belongs
     with pytest.raises(ValueError, match="^trailing tokens in spec: ,$"):
         generate("disjoint-union (cycle 3) (cycle 4),")  # no sub-spec follows
 

@@ -18,11 +18,19 @@ from hamholes.graph import (
     bipartite_graph,
     complete_graph,
     cycle_graph,
+    disjoint_union,
     gnp_graph,
     min_degree,
     petersen_graph,
 )
-from hamholes.hamilton import CycleSeq, find_hamilton
+from hamholes.hamilton import (
+    CycleSeq,
+    PathState,
+    disconnected_certificate,
+    extend_maximal,
+    extract_certificate,
+    find_hamilton,
+)
 from hamholes.holes import (
     BipartiteHole,
     HoleCertificate,
@@ -455,3 +463,41 @@ def test_translate_certificates_of_partial_extractions():
                 assert all(_is_hole(g, p.s_side, p.t_side) for p in out.pairs)
                 translated += 1
     assert translated > 2000
+
+
+# ---------------------------------------------------------------------------
+# the self-check of every certificate the package builds
+
+
+def _extract_k23(g):
+    return extract_certificate(g, extend_maximal(g, PathState(g, (0, 2))))
+
+
+@pytest.mark.parametrize(
+    "what, g, produce",
+    [
+        ("extracted", bipartite_graph(2, 3), _extract_k23),
+        (
+            "component",
+            disjoint_union(complete_graph(3), complete_graph(3)),
+            disconnected_certificate,
+        ),
+        (
+            "translated",
+            complete_graph(6),
+            lambda g: translate_certificate(
+                _certificate_for(g.remove_edges(cycle_graph(6).edges()), 3),
+                [CycleSeq(g, range(6))],
+                g,
+            ),
+        ),
+    ],
+)
+def test_a_failed_self_check_is_a_contract_violation(fail_checks_on, what, g, produce):
+    assert verify_certificate(g, produce(g)) >= 1
+    fail_checks_on(g)
+    with pytest.raises(
+        ContractViolationError,
+        match=f"^{what} certificate invalid: pair 1: forced failure$",
+    ):
+        produce(g)
