@@ -165,35 +165,30 @@ def _cmd_hamilton(args) -> int:
     g = parse_graph(_read_text(args.graph))
     result = find_hamilton(g)
     if result.cycle is not None:
-        text = serialize_cycle(result.cycle)
-        _write_text(text, args.out or "answer.cycle")
-        print(text)
-        return EXIT_OK
-    text = serialize_certificate(result.certificate)
-    _write_text(text, args.out or "answer.cert")
+        text, default, code = serialize_cycle(result.cycle), "answer.cycle", EXIT_OK
+    else:
+        text = serialize_certificate(result.certificate)
+        default, code = "answer.cert", EXIT_CERTIFICATE
+    _write_text(text, args.out or default)
     print(text)
-    return EXIT_CERTIFICATE
+    return code
 
 
 def _cmd_disjoint(args) -> int:
     g = parse_graph(_read_text(args.graph))
     result = find_edge_disjoint_hamilton(g, r_cap=args.r)
-    cycle_texts = [serialize_cycle(c) for c in result.cycles]
-    residual = serialize_certificate(result.residual_certificate)
-    translated = serialize_certificate(result.translated_certificate)
-    if args.out:
-        for i, text in enumerate(cycle_texts, start=1):
-            _write_text(text, f"{args.out}.cycle.{i}")
-        _write_text(residual, f"{args.out}.residual.cert")
-        _write_text(translated, f"{args.out}.translated.cert")
-    else:
-        for text in cycle_texts:
-            print(text)
-            print()
-        print(residual)
-        print()
-        print(translated)
-        print()
+    answers = [
+        (f"cycle.{i}", serialize_cycle(c)) for i, c in enumerate(result.cycles, 1)
+    ]
+    answers += [
+        ("residual.cert", serialize_certificate(result.residual_certificate)),
+        ("translated.cert", serialize_certificate(result.translated_certificate)),
+    ]
+    for suffix, text in answers:
+        if args.out:
+            _write_text(text, f"{args.out}.{suffix}")
+        else:
+            print(text, end="\n\n")
     print(result.summary(g))
     return EXIT_OK
 

@@ -179,9 +179,9 @@ def min_degree(g: Graph) -> int:
     return min(g.degrees)
 
 
-def components(g: Graph) -> list[list[int]]:
-    """Connected components, each sorted, ordered by smallest member."""
-    out: list[list[int]] = []
+def components(g: Graph) -> list[int]:
+    """Connected components as vertex masks, ordered by smallest member."""
+    out: list[int] = []
     unseen = (1 << g.n) - 1
     adj = g.adj_bits
     while unseen:
@@ -194,7 +194,7 @@ def components(g: Graph) -> list[list[int]]:
                 grow |= adj[v]
             frontier = grow & ~comp
             comp |= frontier
-        out.append(list(_bits(comp)))
+        out.append(comp)
         unseen &= ~comp
     return out
 

@@ -344,7 +344,7 @@ def disconnected_certificate(g: Graph) -> HoleCertificate:
         raise ValueError("graph is connected")
     delta = min_degree(g)
     k = delta + 2
-    first, second = comps[0], comps[1]
+    first, second = list(_bits(comps[0])), list(_bits(comps[1]))
     pairs = (
         BipartiteHole(tuple(first[:i]), tuple(second[: k - i]))
         for i in range(1, k // 2 + 1)

@@ -230,6 +230,21 @@ def test_disjoint_out_prefix_files(workdir, capsys):
     assert run_cli("verify", "k5.txt", "k5.translated.cert") == 0
 
 
+@pytest.mark.parametrize("spec", ["complete 7", "gnp 40 0.5"])
+def test_disjoint_stdout_is_the_out_files_in_order(workdir, capsys, spec):
+    (workdir / "g.txt").write_text(serialize_graph(generate(spec, seed=1)) + "\n")
+    assert run_cli("disjoint", "g.txt") == 0
+    stdout = capsys.readouterr().out
+    assert run_cli("disjoint", "g.txt", "--out", "p") == 0
+    summary = capsys.readouterr().out
+    r = len(list(workdir.glob("p.cycle.*")))
+    assert r >= 1 and summary.startswith(f"r={r} ")
+    suffixes = [f"cycle.{i}" for i in range(1, r + 1)]
+    suffixes += ["residual.cert", "translated.cert"]
+    files = [(workdir / f"p.{suffix}").read_text() for suffix in suffixes]
+    assert stdout == "".join(text + "\n" for text in files) + summary
+
+
 def test_disjoint_r_cap(workdir, capsys):
     run_cli("gen", "--family", "complete", "--n", "9", "--out", "k9.txt")
     capsys.readouterr()

@@ -5,11 +5,13 @@ import tracemalloc
 
 import pytest
 
+from corpusutil import random_graphs, to_nx
 from hamholes import graph as graph_module
 from hamholes.errors import GraphFormatError
 from hamholes.graph import (
     FAMILIES,
     Graph,
+    _bits,
     bipartite_graph,
     complete_graph,
     components,
@@ -103,11 +105,29 @@ def test_remove_edges():
 
 def test_components_and_min_degree():
     g = Graph(5, [(3, 4), (0, 1)])
-    assert components(g) == [[0, 1], [2], [3, 4]]
+    assert components(g) == [0b11, 0b100, 0b11000]
     assert min_degree(g) == 0
-    assert components(cycle_graph(4)) == [[0, 1, 2, 3]]
+    assert components(cycle_graph(4)) == [0b1111]
     with pytest.raises(ValueError):
         min_degree(Graph(0))
+
+
+def test_components_match_networkx(corpus_upto5):
+    nx = pytest.importorskip("networkx")
+    graphs = list(corpus_upto5)
+    for i, p in enumerate((0.02, 0.05, 0.1, 0.3)):
+        graphs += random_graphs(30, 25, seed=i, p=p)
+    for g in graphs:
+        masks = components(g)
+        covered = 0
+        for mask in masks:
+            assert mask and not mask & covered, g
+            covered |= mask
+        assert covered == (1 << g.n) - 1, g
+        lows = [mask & -mask for mask in masks]
+        assert lows == sorted(lows), g
+        want = sorted(sorted(c) for c in nx.connected_components(to_nx(g)))
+        assert [list(_bits(mask)) for mask in masks] == want, g
 
 
 def test_disjoint_union():

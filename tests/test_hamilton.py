@@ -306,6 +306,13 @@ def test_disconnected_certificate():
     assert verify_certificate(g, c) == 4
     with pytest.raises(ValueError):
         disconnected_certificate(complete_graph(4))
+    # With three components the holes come from the two lowest.
+    c = disconnected_certificate(disjoint_union(g, complete_graph(3)))
+    assert c.k == 4
+    assert [(h.s_side, h.t_side) for h in c.pairs] == [
+        ((0,), (3, 4, 5)),
+        ((0, 1), (3, 4)),
+    ]
 
 
 def test_reopen_cycle_picks_lowest_attachment():

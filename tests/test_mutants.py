@@ -1,7 +1,9 @@
 """The mutation catalogue stays applicable: every entry's text is in its file
-exactly once, so tests/tools/mutants.py can still make the mutation."""
+exactly once, so tests/tools/mutants.py can still make the mutation, and
+every test an entry names by ``path::name`` is still defined in that file."""
 
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -20,4 +22,7 @@ def test_mutant_applies_once(entry):
     assert (ROOT / entry["file"]).read_text().count(entry["old"]) == 1
     assert entry["new"] != entry["old"]
     for test in entry["tests"]:
-        assert (ROOT / test.split("::")[0]).is_file(), test
+        path, *names = test.split("::")
+        assert (ROOT / path).is_file(), test
+        for name in names:
+            assert re.search(rf"^def {name}\(", (ROOT / path).read_text(), re.M), test

@@ -10,7 +10,9 @@ that no test can catch, a ``survivor`` reason.  For each entry (or only
 the named ones) the script copies src/ to a temporary directory, applies
 the replacement there and runs pytest on the entry's tests plus
 tests/test_cli_corpus.py, with that copy first on PYTHONPATH.  A mutation
-is caught when pytest fails.  The working tree is never edited.
+is caught when pytest exits 1 (a test failed) or 2 (collection failed); any
+other nonzero exit stops the script with the entry's name.  The working
+tree is never edited.
 
 It prints one line per entry and a count of caught and surviving
 mutations, and exits 1 when a mutation survives without a reason or one
@@ -61,8 +63,12 @@ def caught(entry: dict) -> bool:
             capture_output=True,
             text=True,
         )
-    if run.returncode not in (0, 1):
+    # 1: a test failed; 2: collection failed, say on a broken import.  Any
+    # other nonzero code (4, a usage error such as a test id that no longer
+    # exists; 5, no tests collected) says nothing about the mutation.
+    if run.returncode not in (0, 1, 2):
         print(run.stdout[-2000:], run.stderr[-2000:], sep="\n")
+        raise SystemExit(f"{entry['name']}: pytest exited {run.returncode}")
     return run.returncode != 0
 
 
