@@ -26,6 +26,7 @@ from hamholes.hamilton import find_hamilton, parse_cycle, serialize_cycle
 from hamholes.hardness import bcbs_to_bhn, parse_instance
 from hamholes.holes import (
     DEFAULT_BUDGET,
+    _alpha_budget,
     alpha_tilde_exact,
     parse_certificate,
     serialize_certificate,
@@ -152,10 +153,9 @@ def _cmd_analyze(args) -> int:
         raise ValueError("budget must be positive")
     print(f"{g.n} {g.m} {min_degree(g)}")
     if args.exact:
-        # None keeps alpha_tilde_exact's size guard; the oracles need a count.
-        budget = DEFAULT_BUDGET if args.budget is None else args.budget
+        budget = _alpha_budget(g.n, args.budget)
         alpha = independence_number_exact(g, budget)
-        alpha_tilde = alpha_tilde_exact(g, args.budget)
+        alpha_tilde = alpha_tilde_exact(g, budget)
         kappa = vertex_connectivity_exact(g, budget)
         print(f"{alpha} {alpha_tilde} {kappa}")
     return EXIT_OK

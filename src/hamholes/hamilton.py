@@ -20,7 +20,7 @@ from operator import itemgetter
 from hamholes._record import Record
 from hamholes.errors import ContractViolationError, GraphFormatError
 from hamholes.graph import Graph, _bits, _ints, _keyword_header, components, min_degree
-from hamholes.holes import BipartiteHole, HoleCertificate, _self_checked
+from hamholes.holes import BipartiteHole, HoleCertificate, _self_checked, _vertex_mask
 
 
 class _VertexSeq:
@@ -37,13 +37,7 @@ class _VertexSeq:
     def _set_checked(self, graph: Graph, order, kind: str, pair_name: str, pairs):
         """Check range, then repeats, then each (u, v) of ``pairs`` for
         adjacency, raising ValueError on the first failure; then store."""
-        mask = 0
-        for v in order:
-            if not 0 <= v < graph.n:
-                raise ValueError(f"vertex {v} out of range")
-            mask |= 1 << v
-        if mask.bit_count() != len(order):
-            raise ValueError(f"repeated vertex in {kind}")
+        mask = _vertex_mask(order, graph.n, kind)
         for u, v in pairs:
             if not (graph.adj_bits[u] >> v) & 1:
                 raise ValueError(f"{pair_name} {u}, {v} not adjacent")
@@ -138,22 +132,16 @@ class HamResult(Record):
             raise ValueError("exactly one of cycle/certificate must be present")
 
 
-def _check_graph(g: Graph, owner: Graph, kind: str) -> None:
-    if owner is not g and owner != g:
-        raise ValueError(f"{kind} does not belong to this graph")
-
-
-def extend_maximal(g: Graph, p: PathState) -> PathState:
+def extend_maximal(p: PathState) -> PathState:
     """Grow the path greedily until both endpoints have no outside neighbor.
 
     At each step the front endpoint is tried first, then the back; the
     lowest-id outside neighbor is attached.  The input path survives as a
     contiguous subsequence of the output.
     """
-    _check_graph(g, p.graph, "path")
     order = list(p.order)
     mask = p.mask
-    adj = g.adj_bits
+    adj = p.graph.adj_bits
     while True:
         cand = adj[order[0]] & ~mask
         if cand:
@@ -167,16 +155,15 @@ def extend_maximal(g: Graph, p: PathState) -> PathState:
             order.append(w)
             mask |= 1 << w
             continue
-        return PathState._trusted(g, tuple(order), mask)
+        return PathState._trusted(p.graph, tuple(order), mask)
 
 
-def _check_maximal(g: Graph, p: PathState, caller: str) -> None:
-    """p is g's path, has >= 3 vertices and no outside neighbor at an end."""
-    _check_graph(g, p.graph, "path")
+def _check_maximal(p: PathState, caller: str) -> None:
+    """p has >= 3 vertices and no outside neighbor at an end."""
     m = len(p.order)
     if m < 3:
         raise ValueError(f"{caller} needs a path of length >= 3, got {m}")
-    adj = g.adj_bits
+    adj = p.graph.adj_bits
     if adj[p.order[0]] & ~p.mask or adj[p.order[-1]] & ~p.mask:
         raise ValueError("path is not maximal: an endpoint has an outside neighbor")
 
@@ -199,7 +186,7 @@ def _closure_masks(g: Graph, order: tuple[int, ...]) -> tuple[int, int]:
     return a_mask, b_mask
 
 
-def try_close(g: Graph, p: PathState) -> CycleSeq | None:
+def try_close(p: PathState) -> CycleSeq | None:
     """Close a maximal path into a cycle on the same vertex set, if possible.
 
     Search order (first hit wins, positions 0-based, f = order[0],
@@ -223,13 +210,13 @@ def try_close(g: Graph, p: PathState) -> CycleSeq | None:
     built from a valid maximal path and not re-checked: each rewiring keeps
     the path's vertex set, so its mask is the path's.
     """
-    _check_maximal(g, p, "try_close")
-    return _rewire(g, p, *_closure_masks(g, p.order))
+    _check_maximal(p, "try_close")
+    return _rewire(p, *_closure_masks(p.graph, p.order))
 
 
-def _rewire(g: Graph, p: PathState, a_mask: int, b_mask: int) -> CycleSeq | None:
+def _rewire(p: PathState, a_mask: int, b_mask: int) -> CycleSeq | None:
     """try_close's rewirings (a), (b) and (c), on p's closure masks."""
-    order = p.order
+    g, order = p.graph, p.order
     m = len(order)
     adj = g.adj_bits
 
@@ -284,23 +271,23 @@ def _rewire(g: Graph, p: PathState, a_mask: int, b_mask: int) -> CycleSeq | None
     return None
 
 
-def extract_certificate(g: Graph, p: PathState) -> HoleCertificate:
+def extract_certificate(p: PathState) -> HoleCertificate:
     """Build the alpha_tilde > delta certificate from a failed closure.
 
-    Requires a maximal path of length >= 3 whose closure failed (checked).
-    With k = min_degree(g) + 1, for each split s = 1..floor(k/2), t = k-s, let
-    k_s be the (0-based) position of the s-th neighbor of the front along
-    the path.  The four derived sets (predecessors of front-neighbors up to
+    Requires a maximal path of length >= 3 whose closure failed (checked);
+    g is its graph.  With k = min_degree(g) + 1, for each split
+    s = 1..floor(k/2), t = k-s, let k_s be the (0-based) position of the
+    s-th neighbor of the front along the path.  The four derived sets (predecessors of front-neighbors up to
     k_s; successors of back-neighbors from k_s on; the front plus successors
     of its neighbors from k_s on; successors of back-neighbors before k_s)
     yield holes: closure failure makes (A, B) and (D, C) edge-free, and
     counting shows |B| >= t or (|D| >= s and |C| >= t).  Every emitted pair
     is re-verified against g before returning.
     """
-    _check_maximal(g, p, "extract_certificate")
-    order = p.order
+    _check_maximal(p, "extract_certificate")
+    g, order = p.graph, p.order
     a_mask, b_mask = _closure_masks(g, order)
-    if _rewire(g, p, a_mask, b_mask) is not None:
+    if _rewire(p, a_mask, b_mask) is not None:
         raise ValueError("path is closable; certificate extraction not allowed")
 
     k = min_degree(g) + 1
@@ -352,7 +339,7 @@ def disconnected_certificate(g: Graph) -> HoleCertificate:
     return _self_checked(g, k, pairs, "component")
 
 
-def reopen_cycle(g: Graph, c: CycleSeq) -> PathState:
+def reopen_cycle(c: CycleSeq) -> PathState:
     """Turn a non-spanning cycle into a longer path via an attachment edge.
 
     Chooses the lowest off-cycle vertex y with a neighbor on the cycle, then
@@ -360,7 +347,7 @@ def reopen_cycle(g: Graph, c: CycleSeq) -> PathState:
     cycle in stored orientation.  Connectivity makes the edge exist whenever
     the cycle is non-spanning; its absence is a contract error.
     """
-    _check_graph(g, c.graph, "cycle")
+    g = c.graph
     off = ((1 << g.n) - 1) & ~c.mask
     if not off:
         raise ValueError("cycle already spans the graph")
@@ -393,16 +380,16 @@ def find_hamilton(g: Graph) -> HamResult:
     v = (g.adj_bits[0] & -g.adj_bits[0]).bit_length() - 1
     p = PathState(g, (0, v))
     for _ in range(g.n + 1):
-        p = extend_maximal(g, p)
-        cycle = try_close(g, p)
+        p = extend_maximal(p)
+        cycle = try_close(p)
         if cycle is None:
-            return HamResult(certificate=extract_certificate(g, p))
+            return HamResult(certificate=extract_certificate(p))
         if len(cycle) == g.n:
             try:
                 return HamResult(cycle=CycleSeq(g, cycle.order))
             except ValueError as exc:
                 raise ContractViolationError(f"found cycle invalid: {exc}") from exc
-        p = reopen_cycle(g, cycle)
+        p = reopen_cycle(cycle)
     raise ContractViolationError("path stopped growing without termination")
 
 

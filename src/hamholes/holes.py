@@ -130,6 +130,19 @@ def _check_scan_budget(g: Graph, budget: int) -> None:
             return
 
 
+def _alpha_budget(n: int, budget: int | None) -> int:
+    """alpha_tilde_exact's budget on n vertices: the one given, else
+    DEFAULT_BUDGET, whose size guard refuses n > ALPHA_SIZE_GUARD."""
+    if budget is not None:
+        return budget
+    if n > ALPHA_SIZE_GUARD:
+        raise BudgetExceededError(
+            f"instance too large: n = {n} > {ALPHA_SIZE_GUARD}"
+            " (pass an explicit budget to override)"
+        )
+    return DEFAULT_BUDGET
+
+
 def alpha_tilde_exact(g: Graph, budget: int | None = None) -> int:
     """Exact bipartite-hole-number: the largest k with alpha_tilde_at_least.
 
@@ -140,17 +153,24 @@ def alpha_tilde_exact(g: Graph, budget: int | None = None) -> int:
     the first total with a hole-free split; the first hole search that could
     probe more than the budget raises.
     """
-    if budget is None:
-        if g.n > ALPHA_SIZE_GUARD:
-            raise BudgetExceededError(
-                f"instance too large: n = {g.n} > {ALPHA_SIZE_GUARD}"
-                " (pass an explicit budget to override)"
-            )
-        budget = DEFAULT_BUDGET
+    budget = _alpha_budget(g.n, budget)
     k = 1
     while alpha_tilde_at_least(g, k + 1, budget):
         k += 1
     return k
+
+
+def _vertex_mask(vs, n: int, kind: str) -> int:
+    """The bitmask of vertex sequence vs; ValueError on the first vertex
+    outside range(n), then on a repeat, which names ``kind``."""
+    mask = 0
+    for v in vs:
+        if not 0 <= v < n:
+            raise ValueError(f"vertex {v} out of range")
+        mask |= 1 << v
+    if mask.bit_count() != len(vs):
+        raise ValueError(f"repeated vertex in {kind}")
+    return mask
 
 
 def verify_certificate(g: Graph, c: HoleCertificate) -> int:
@@ -176,17 +196,11 @@ def verify_certificate(g: Graph, c: HoleCertificate) -> int:
             raise CertificateError(
                 f"t-side size {len(hole.t_side)} != {c.k - idx}", pair_index=idx
             )
-        masks = []
-        for side in (hole.s_side, hole.t_side):
-            mask = 0
-            for v in side:
-                if not 0 <= v < g.n:
-                    raise CertificateError(f"vertex {v} out of range", pair_index=idx)
-                mask |= 1 << v
-            if mask.bit_count() != len(side):
-                raise CertificateError("repeated vertex in a side", pair_index=idx)
-            masks.append(mask)
-        smask, tmask = masks
+        try:
+            smask = _vertex_mask(hole.s_side, g.n, "a side")
+            tmask = _vertex_mask(hole.t_side, g.n, "a side")
+        except ValueError as exc:
+            raise CertificateError(str(exc), pair_index=idx) from None
         if smask & tmask:
             raise CertificateError("sides intersect", pair_index=idx)
         for v in hole.s_side:

@@ -127,13 +127,38 @@ def test_analyze_bad_budget_prints_nothing_to_stdout(workdir, capsys):
 
 
 def test_analyze_exact_on_a_huge_empty_graph_exits_3(monkeypatch, capsys):
-    # alpha of 1200 isolated vertices takes 1200 nested include-branches; the
-    # alpha-tilde size guard then aborts with exit 3 and one error line.
-    monkeypatch.setattr("sys.stdin", io.StringIO("1200 0\n"))
-    assert run_cli("analyze", "-", "--exact") == 3
-    out, err = capsys.readouterr()
-    assert out == "1200 0 0\n"
-    assert err.startswith("error: instance too large") and err.count("\n") == 1
+    # Without --budget the alpha-tilde size guard aborts before any search.
+    # With one, alpha of 1200 isolated vertices takes 1200 nested
+    # include-branches, and then the hole search's budget aborts.  Either
+    # way: exit 3 and one error line.
+    for budget in ((), ("--budget", "100000000")):
+        monkeypatch.setattr("sys.stdin", io.StringIO("1200 0\n"))
+        assert run_cli("analyze", "-", "--exact", *budget) == 3
+        out, err = capsys.readouterr()
+        assert out == "1200 0 0\n"
+        assert err.startswith("error: instance too large") and err.count("\n") == 1
+
+
+def test_analyze_exact_refuses_n200_before_any_search(workdir):
+    # The independence search alone would take minutes on this graph; the
+    # size guard must refuse right after the n m delta line.
+    gen = ("gen", "--family", "gnp", "--n", "200", "--p", "0.03", "--seed", "1")
+    assert run_cli(*gen, "--out", "g.txt") == 0
+    src = str(Path(hamholes.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-m", "hamholes.cli", "analyze", "g.txt", "--exact"],
+        cwd=workdir,
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        timeout=30,
+    )
+    assert (out.returncode, out.stdout, out.stderr) == (
+        3,
+        "200 627 1\n",
+        "error: instance too large: n = 200 > 20"
+        " (pass an explicit budget to override)\n",
+    )
 
 
 def test_analyze_oversized_header_exits_1(monkeypatch, capsys):

@@ -470,7 +470,7 @@ def test_translate_certificates_of_partial_extractions():
 
 
 def _extract_k23(g):
-    return extract_certificate(g, extend_maximal(g, PathState(g, (0, 2))))
+    return extract_certificate(extend_maximal(PathState(g, (0, 2))))
 
 
 @pytest.mark.parametrize(

@@ -10,9 +10,10 @@ that no test can catch, a ``survivor`` reason.  For each entry (or only
 the named ones) the script copies src/ to a temporary directory, applies
 the replacement there and runs pytest on the entry's tests plus
 tests/test_cli_corpus.py, with that copy first on PYTHONPATH.  A mutation
-is caught when pytest exits 1 (a test failed) or 2 (collection failed); any
-other nonzero exit stops the script with the entry's name.  The working
-tree is never edited.
+is caught when pytest exits 1 (a test failed) or 2 (collection failed), or
+when the run outlasts TIMEOUT_S (a mutation that lifts a guard can make a
+call run for many minutes); any other nonzero exit stops the script with
+the entry's name.  The working tree is never edited.
 
 It prints one line per entry and a count of caught and surviving
 mutations, and exits 1 when a mutation survives without a reason or one
@@ -33,14 +34,18 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[2]
 CATALOGUE = ROOT / "tests" / "mutants.json"
 CORPUS_TEST = "tests/test_cli_corpus.py"
+# The slowest entry's run takes about a minute.
+TIMEOUT_S = 300
 
 
 def load() -> list[dict]:
     return json.loads(CATALOGUE.read_text())
 
 
-def caught(entry: dict) -> bool:
-    """Whether pytest fails on the entry's tests with the mutation applied."""
+def verdict(entry: dict) -> str:
+    """The entry's outcome: "caught" when pytest fails on its tests with the
+    mutation applied, "caught (timeout)" when the run outlasts TIMEOUT_S,
+    else "SURVIVED"."""
     with tempfile.TemporaryDirectory() as tmp:
         src = Path(tmp) / "src"
         shutil.copytree(
@@ -55,21 +60,25 @@ def caught(entry: dict) -> bool:
         tests = [str(ROOT / t) for t in [*entry["tests"], CORPUS_TEST]]
         # Run from the temporary directory, so hypothesis keeps its example
         # database there and not in the working tree.
-        run = subprocess.run(
-            [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
-             "--rootdir", str(ROOT), *tests],
-            cwd=tmp,
-            env=env,
-            capture_output=True,
-            text=True,
-        )
+        try:
+            run = subprocess.run(
+                [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
+                 "--rootdir", str(ROOT), *tests],
+                cwd=tmp,
+                env=env,
+                capture_output=True,
+                text=True,
+                timeout=TIMEOUT_S,
+            )
+        except subprocess.TimeoutExpired:
+            return "caught (timeout)"
     # 1: a test failed; 2: collection failed, say on a broken import.  Any
     # other nonzero code (4, a usage error such as a test id that no longer
     # exists; 5, no tests collected) says nothing about the mutation.
     if run.returncode not in (0, 1, 2):
         print(run.stdout[-2000:], run.stderr[-2000:], sep="\n")
         raise SystemExit(f"{entry['name']}: pytest exited {run.returncode}")
-    return run.returncode != 0
+    return "SURVIVED" if run.returncode == 0 else "caught"
 
 
 def main(names: list[str]) -> int:
@@ -77,14 +86,14 @@ def main(names: list[str]) -> int:
     counts = {"caught": 0, "survived": 0}
     unexpected = []
     for entry in entries:
-        hit = caught(entry)
+        how = verdict(entry)
+        hit = how != "SURVIVED"
         counts["caught" if hit else "survived"] += 1
         expected = "survivor" not in entry
         if hit != expected:
             unexpected.append(entry["name"])
-        verdict = "caught" if hit else "SURVIVED"
         note = "" if hit == expected else "  (unexpected)"
-        print(f"{verdict:8} {entry['name']}{note}", flush=True)
+        print(f"{how:8} {entry['name']}{note}", flush=True)
     print(f"{counts['caught']} caught, {counts['survived']} survived")
     if unexpected:
         print("unexpected:", " ".join(unexpected))
