@@ -11,10 +11,9 @@ alpha_tilde > (delta - 3*r_hat)/(r_hat + 1).
 from __future__ import annotations
 
 from hamholes._record import Record
-from hamholes.errors import ContractViolationError
 from hamholes.graph import Graph, min_degree
 from hamholes.hamilton import CycleSeq, find_hamilton
-from hamholes.holes import HoleCertificate, translate_certificate
+from hamholes.holes import HoleCertificate, _translate
 
 
 class DisjointResult(Record):
@@ -56,16 +55,11 @@ def find_edge_disjoint_hamilton(g: Graph, r_cap: int | None = None) -> DisjointR
         raise ValueError(f"edge-disjoint extraction needs n >= 3, got {g.n}")
     if r_cap is not None and r_cap < 0:
         raise ValueError(f"r_cap must be >= 0, got {r_cap}")
-    delta = min_degree(g)
     cycles: list[CycleSeq] = []
     residual = g
     while True:
         if r_cap is not None and len(cycles) >= r_cap:
             return DisjointResult(tuple(cycles), _EMPTY_CERT, _EMPTY_CERT)
-        if min_degree(residual) < delta - 2 * len(cycles):
-            raise ContractViolationError(
-                "residual minimum degree fell below delta - 2*r_hat"
-            )
         result = find_hamilton(residual)
         if result.cycle is not None:
             # Rebind unchecked: it was checked against residual, a subgraph of g.
@@ -74,5 +68,7 @@ def find_edge_disjoint_hamilton(g: Graph, r_cap: int | None = None) -> DisjointR
             residual = residual.remove_edges(c.edges())
             continue
         residual_cert = result.certificate
-        translated = translate_certificate(residual_cert, cycles, g)
+        # The cycles are edge-disjoint Hamilton cycles of g (each came off
+        # the residual it spans) and residual_cert was checked: no re-check.
+        translated = _translate(residual_cert, len(cycles), g)
         return DisjointResult(tuple(cycles), residual_cert, translated)

@@ -233,19 +233,11 @@ def translate_certificate(
 ) -> HoleCertificate:
     """Translate a certificate for g minus some Hamilton cycles back to g.
 
-    With r_hat = len(removed_cycles), delta = min_degree(g) and
-    K = min(delta - 2*r_hat + 1, c.k), the output value is
-    k' = max(1, floor(K / (r_hat + 1))); when c.k >= delta - 2*r_hat + 1,
-    as for the residual certificates of find_edge_disjoint_hamilton, K is
-    delta - 2*r_hat + 1.  For each split j <= floor(k'/2) the pair
-    (S_j, T_j) of c survives as (S_j, T_j minus the cycle-neighborhoods of
-    S_j) trimmed to sizes (j, k'-j), keeping lowest-labeled vertices: every
-    vertex has exactly 2 neighbors on each removed cycle, so at least
-    c.k - j - 2*r_hat*j vertices remain, which is >= k'-j because
-    c.k >= K >= k'(r_hat + 1) and 2j <= k'; none of them sees S_j in g.
-    c itself must verify against g minus the cycles (CertificateError
-    otherwise).  A shortfall, or a result that fails its check against g,
-    is a bug and raises ContractViolationError (CLI exit 4).
+    Checks that each removed cycle spans g and that their edges are
+    distinct edges of g (ContractViolationError otherwise), and that c
+    verifies against g minus the cycles (CertificateError otherwise).  The
+    value k' and the pairs are _translate's; a shortfall surfaces as the
+    result's failed self-check, ContractViolationError (CLI exit 4).
     """
     removed_cycles = list(removed_cycles)
     all_edges = []
@@ -258,15 +250,30 @@ def translate_certificate(
     except ValueError as exc:
         raise ContractViolationError(f"removed cycles are not in g: {exc}") from exc
     verify_certificate(g_minus, c)
+    return _translate(c, len(removed_cycles), g)
 
-    r_hat = len(removed_cycles)
+
+def _translate(c: HoleCertificate, r_hat: int, g: Graph) -> HoleCertificate:
+    """translate_certificate without its checks.
+
+    Precondition, not checked here: c verifies against g minus r_hat
+    pairwise edge-disjoint Hamilton cycles of g.  With delta =
+    min_degree(g) and K = min(delta - 2*r_hat + 1, c.k), the output value
+    is k' = max(1, floor(K / (r_hat + 1))); when c.k >= delta - 2*r_hat + 1,
+    as for the residual certificates of find_edge_disjoint_hamilton, K is
+    delta - 2*r_hat + 1.  For each split j <= floor(k'/2) the pair
+    (S_j, T_j) of c survives as (S_j, T_j minus the cycle-neighborhoods of
+    S_j) trimmed to sizes (j, k'-j), keeping lowest-labeled vertices: every
+    vertex has exactly 2 neighbors on each removed cycle, so at least
+    c.k - j - 2*r_hat*j vertices remain, which is >= k'-j because
+    c.k >= K >= k'(r_hat + 1) and 2j <= k'; none of them sees S_j in g.
+    A shortfall would leave a short side, so it surfaces, like any other
+    bug, as the failed self-check: ContractViolationError (CLI exit 4).
+    """
     delta = min_degree(g)
     k_prime = max(1, min(delta - 2 * r_hat + 1, c.k) // (r_hat + 1))
-
     pairs = []
     for j in range(1, k_prime // 2 + 1):
-        if j > len(c.pairs):
-            raise ContractViolationError(f"certificate lacks split {j}")
         hole = c.pairs[j - 1]
         # c holds in g minus the cycles, so S_j's g-neighbors inside T_j
         # are exactly its cycle neighbors there.
@@ -274,10 +281,6 @@ def translate_certificate(
         for v in hole.s_side:
             removed |= g.adj_bits[v]
         survivors = [w for w in hole.t_side if not (removed >> w) & 1]
-        if len(survivors) < k_prime - j:
-            raise ContractViolationError(
-                f"split {j}: only {len(survivors)} survivors, need {k_prime - j}"
-            )
         pairs.append(
             BipartiteHole(tuple(hole.s_side[:j]), tuple(survivors[: k_prime - j]))
         )

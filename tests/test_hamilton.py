@@ -313,6 +313,10 @@ def test_reopen_cycle_picks_lowest_attachment():
     spanning = CycleSeq(g, (2, 3, 0, 4, 1))
     with pytest.raises(ValueError):
         reopen_cycle(spanning)  # nothing left outside the cycle
+    two_triangles = Graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
+    with pytest.raises(ContractViolationError) as exc:
+        reopen_cycle(CycleSeq(two_triangles, (0, 1, 2)))  # nothing attaches
+    assert str(exc.value) == "no edge attaches the cycle to the rest"
 
 
 # ---------------------------------------------------------------------------

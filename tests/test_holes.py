@@ -7,6 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from corpusutil import random_graphs
+from hamholes.disjoint import find_edge_disjoint_hamilton
 from hamholes.errors import (
     BudgetExceededError,
     CertificateError,
@@ -400,8 +401,27 @@ def test_translate_rejects_cycle_edges_absent():
     res = find_hamilton(bipartite_graph(2, 3))
     host = complete_graph(5).remove_edges([(0, 1)])
     cyc = CycleSeq(cycle_graph(5), (0, 1, 2, 3, 4))
-    with pytest.raises(ContractViolationError, match="not an edge"):
+    with pytest.raises(ContractViolationError) as exc:
         translate_certificate(res.certificate, [cyc], host)
+    assert str(exc.value) == "removed cycles are not in g: not an edge: (0, 1)"
+
+
+def test_translate_rejects_cycles_sharing_an_edge():
+    g = complete_graph(5)
+    cycles = [CycleSeq(g, (0, 1, 2, 3, 4)), CycleSeq(g, (0, 1, 3, 2, 4))]
+    with pytest.raises(ContractViolationError) as exc:
+        translate_certificate(HoleCertificate(1, ()), cycles, g)
+    assert str(exc.value) == "removed cycles are not in g: not an edge: (4, 0)"
+
+
+def test_translate_rejects_a_certificate_invalid_in_the_residual():
+    # In K6 minus C6, 0 and 2 stay adjacent; the translation to k' = 1 has
+    # no pairs, so only the residual check can refuse this certificate.
+    g = complete_graph(6)
+    c = HoleCertificate(2, (BipartiteHole((0,), (2,)),))
+    with pytest.raises(CertificateError) as exc:
+        translate_certificate(c, [CycleSeq(g, range(6))], g)
+    assert str(exc.value) == "pair 1: edge 0 2 joins the sides"
 
 
 def _bipartite_plus_cycle(a, b, rng):
@@ -410,6 +430,18 @@ def _bipartite_plus_cycle(a, b, rng):
     order = rng.sample(range(n), n)
     cycle = {tuple(sorted((order[i - 1], order[i]))) for i in range(n)}
     return Graph(n, sorted(set(bipartite_graph(a, b).edges()) | cycle))
+
+
+def test_extraction_translates_as_the_public_function_does():
+    rng = random.Random(9)
+    graphs = [complete_graph(7)] + [_bipartite_plus_cycle(6, 9, rng) for _ in range(6)]
+    pairs = 0
+    for g in graphs:
+        res = find_edge_disjoint_hamilton(g)
+        public = translate_certificate(res.residual_certificate, res.cycles, g)
+        assert res.translated_certificate == public
+        pairs += len(public.pairs)
+    assert pairs == 5
 
 
 def test_translate_on_dense_random_graphs():

@@ -12,8 +12,9 @@ the replacement there and runs pytest on the entry's tests plus
 tests/test_cli_corpus.py, with that copy first on PYTHONPATH.  A mutation
 is caught when pytest exits 1 (a test failed) or 2 (collection failed), or
 when the run outlasts TIMEOUT_S (a mutation that lifts a guard can make a
-call run for many minutes); any other nonzero exit stops the script with
-the entry's name.  The working tree is never edited.
+call run for many minutes; pytest and every process it started are then
+killed); any other nonzero exit stops the script with the entry's name.
+The working tree is never edited.
 
 It prints one line per entry and a count of caught and surviving
 mutations, and exits 1 when a mutation survives without a reason or one
@@ -26,6 +27,7 @@ from __future__ import annotations
 import json
 import os
 import shutil
+import signal
 import subprocess
 import sys
 import tempfile
@@ -59,24 +61,29 @@ def verdict(entry: dict) -> str:
         env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
         tests = [str(ROOT / t) for t in [*entry["tests"], CORPUS_TEST]]
         # Run from the temporary directory, so hypothesis keeps its example
-        # database there and not in the working tree.
-        try:
-            run = subprocess.run(
-                [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
-                 "--rootdir", str(ROOT), *tests],
-                cwd=tmp,
-                env=env,
-                capture_output=True,
-                text=True,
-                timeout=TIMEOUT_S,
-            )
-        except subprocess.TimeoutExpired:
-            return "caught (timeout)"
+        # database there and not in the working tree.  pytest leads its own
+        # session, so a timeout kills every process a test started with it.
+        with subprocess.Popen(
+            [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
+             "--rootdir", str(ROOT), *tests],
+            cwd=tmp,
+            env=env,
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+            start_new_session=True,
+        ) as run:
+            try:
+                stdout, stderr = run.communicate(timeout=TIMEOUT_S)
+            except subprocess.TimeoutExpired:
+                os.killpg(run.pid, signal.SIGKILL)
+                run.communicate()
+                return "caught (timeout)"
     # 1: a test failed; 2: collection failed, say on a broken import.  Any
     # other nonzero code (4, a usage error such as a test id that no longer
     # exists; 5, no tests collected) says nothing about the mutation.
     if run.returncode not in (0, 1, 2):
-        print(run.stdout[-2000:], run.stderr[-2000:], sep="\n")
+        print(stdout[-2000:], stderr[-2000:], sep="\n")
         raise SystemExit(f"{entry['name']}: pytest exited {run.returncode}")
     return "SURVIVED" if run.returncode == 0 else "caught"
 
