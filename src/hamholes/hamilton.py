@@ -143,19 +143,14 @@ def extend_maximal(p: PathState) -> PathState:
     mask = p.mask
     adj = p.graph.adj_bits
     while True:
-        cand = adj[order[0]] & ~mask
-        if cand:
-            w = (cand & -cand).bit_length() - 1
-            order.insert(0, w)
-            mask |= 1 << w
-            continue
-        cand = adj[order[-1]] & ~mask
-        if cand:
-            w = (cand & -cand).bit_length() - 1
-            order.append(w)
-            mask |= 1 << w
-            continue
-        return PathState._trusted(p.graph, tuple(order), mask)
+        at, cand = 0, adj[order[0]] & ~mask
+        if not cand:
+            at, cand = len(order), adj[order[-1]] & ~mask
+        if not cand:
+            return PathState._trusted(p.graph, tuple(order), mask)
+        w = (cand & -cand).bit_length() - 1
+        order.insert(at, w)
+        mask |= 1 << w
 
 
 def _check_maximal(p: PathState, caller: str) -> None:
@@ -203,10 +198,10 @@ def try_close(p: PathState) -> CycleSeq | None:
       order[i] in N(f), order[j] in N(b), order[i+1] adjacent to order[j+1].
 
     Both endpoint neighborhoods lie on the path (maximality is required and
-    checked), so one pass over position masks realizes every split at once.
-    Building the two masks costs O(n) C-level string operations (see
-    _closure_masks); the search then costs O(n) big-int word operations per
-    N(f) position.  The cycle is
+    checked), so position masks realize every split at once.  Building the
+    two masks costs O(n) C-level string operations (see _closure_masks); (a)
+    is one mask AND, and (b) and (c) share one ascending pass over the N(f)
+    positions at O(n) big-int word operations per position.  The cycle is
     built from a valid maximal path and not re-checked: each rewiring keeps
     the path's vertex set, so its mask is the path's.
     """
@@ -215,7 +210,8 @@ def try_close(p: PathState) -> CycleSeq | None:
 
 
 def _rewire(p: PathState, a_mask: int, b_mask: int) -> CycleSeq | None:
-    """try_close's rewirings (a), (b) and (c), on p's closure masks."""
+    """try_close's rewirings on p's closure masks: (a) by one mask AND, then
+    (b) and (c) in one pass over the N(f) positions, in try_close's order."""
     g, order = p.graph, p.order
     m = len(order)
     adj = g.adj_bits
@@ -229,46 +225,39 @@ def _rewire(p: PathState, a_mask: int, b_mask: int) -> CycleSeq | None:
 
     b_positions = list(_bits(b_mask))
 
-    # (b): successors of B positions >= i, as a vertex mask that shrinks as
-    # i sweeps A in ascending order.  It never empties: m-2 is in B, and
-    # with (a) failed the ends are not adjacent, so every i in A is <= m-2.
+    # (b) and (c) in one ascending sweep of i over A.  succ holds the
+    # successors of B positions >= i and pred those of B positions < i; a
+    # position moves from succ to pred as i passes it.  succ never empties:
+    # m-2 is in B, and with (a) failed the ends are not adjacent, so i <= m-2.
+    # A (b) hit returns at once; the first (c) hit waits until no (b) is
+    # left.  A hit's least j is the first B position whose successor it holds.
     succ = 0
     for j in b_positions:
         succ |= 1 << order[j + 1]
+    pred = 0
+    crossing = None
     ptr = 0
     for i in _bits(a_mask):
         while ptr < len(b_positions) and b_positions[ptr] < i:
-            succ &= ~(1 << order[b_positions[ptr] + 1])
+            bit = 1 << order[b_positions[ptr] + 1]
+            succ ^= bit
+            pred |= bit
             ptr += 1
         hit = adj[order[i - 1]] & succ
         if hit:
-            for j in b_positions[ptr:]:
-                if (hit >> order[j + 1]) & 1:
-                    cycle = order[:i] + order[j + 1 :] + order[j : i - 1 : -1]
-                    return CycleSeq._trusted(g, cycle, p.mask)
-            raise ContractViolationError("case (b) hit without a matching j")
-
-    # (c): successors of B positions < i, growing as i sweeps A ascending.
-    pred = 0
-    ptr = 0
-    for i in _bits(a_mask):
-        while ptr < len(b_positions) and b_positions[ptr] < i:
-            pred |= 1 << order[b_positions[ptr] + 1]
-            ptr += 1
-        if not pred:
-            continue
-        hit = adj[order[i + 1]] & pred
-        if hit:
-            for j in b_positions[:ptr]:
-                if (hit >> order[j + 1]) & 1:
-                    cycle = (
-                        order[: j + 1]
-                        + order[m - 1 : i : -1]
-                        + order[j + 1 : i + 1]
-                    )
-                    return CycleSeq._trusted(g, cycle, p.mask)
-            raise ContractViolationError("case (c) hit without a matching j")
-    return None
+            j = next(j for j in b_positions if hit >> order[j + 1] & 1)
+            cycle = order[:i] + order[j + 1 :] + order[j : i - 1 : -1]
+            return CycleSeq._trusted(g, cycle, p.mask)
+        if crossing is None:
+            hit = adj[order[i + 1]] & pred
+            if hit:
+                crossing = i, hit
+    if crossing is None:
+        return None
+    i, hit = crossing
+    j = next(j for j in b_positions if hit >> order[j + 1] & 1)
+    cycle = order[: j + 1] + order[m - 1 : i : -1] + order[j + 1 : i + 1]
+    return CycleSeq._trusted(g, cycle, p.mask)
 
 
 def extract_certificate(p: PathState) -> HoleCertificate:

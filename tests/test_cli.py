@@ -352,14 +352,14 @@ def test_internal_error_exits_4(workdir, capsys, monkeypatch):
     from hamholes.errors import ContractViolationError
 
     def broken(g):
-        raise ContractViolationError("case (b) hit without a matching j")
+        raise ContractViolationError("no edge attaches the cycle to the rest")
 
     monkeypatch.setattr("hamholes.cli.find_hamilton", broken)
     (workdir / "g.txt").write_text(serialize_graph(complete_graph(4)) + "\n")
     assert run_cli("hamilton", "g.txt") == 4
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: internal: case (b) hit without a matching j\n"
+    assert captured.err == "error: internal: no edge attaches the cycle to the rest\n"
 
 
 @pytest.mark.parametrize(

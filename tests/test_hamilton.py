@@ -181,36 +181,45 @@ def test_closure_masks_at_the_edges_of_the_rows():
     assert _closure_masks(g, (0, 1, 2, 3, 4)) == (0b10010, 0b01001)
 
 
+def _first_flip(g, order):
+    # try_close's search order by brute force, from g.has_edge alone: the
+    # case, how many j its least i admits, and the cycle as path positions.
+    m = len(order)
+    f, b = order[0], order[-1]
+    for j in range(1, m):  # (a): v0, v(j)..v(m-1), v(j-1)..v1
+        if g.has_edge(f, order[j]) and g.has_edge(b, order[j - 1]):
+            return "a", 1, [0, *range(j, m), *range(j - 1, 0, -1)]
+    for i in range(1, m - 1):  # (b): v0..v(i-1), v(j+1)..v(m-1), v(j)..v(i)
+        js = [
+            j
+            for j in range(i, m - 1)
+            if g.has_edge(f, order[i])
+            and g.has_edge(b, order[j])
+            and g.has_edge(order[i - 1], order[j + 1])
+        ]
+        if js:
+            j = js[0]
+            return "b", len(js), [*range(i), *range(j + 1, m), *range(j, i - 1, -1)]
+    for i in range(1, m - 1):  # (c): v0..v(j), v(m-1)..v(i+1), v(j+1)..v(i)
+        js = [
+            j
+            for j in range(i)
+            if g.has_edge(f, order[i])
+            and g.has_edge(b, order[j])
+            and g.has_edge(order[i + 1], order[j + 1])
+        ]
+        if js:
+            j = js[0]
+            positions = [*range(j + 1), *range(m - 1, i, -1), *range(j + 1, i + 1)]
+            return "c", len(js), positions
+    return None, 0, None
+
+
 def test_try_close_flip_cases_agree_with_naive_search():
     # cross-check against brute force: whenever some single or double flip
-    # closes a maximal path, try_close must close it too (and vice versa)
+    # closes a maximal path, try_close must close it too (and vice versa),
+    # and extract_certificate must refuse it (and accept a stuck one)
     import itertools
-
-    def naive_closes(g, order):
-        m = len(order)
-        f, b = order[0], order[-1]
-        if g.has_edge(f, b):
-            return True
-        for j in range(1, m - 1):  # single flip (a)
-            if g.has_edge(f, order[j]) and g.has_edge(b, order[j - 1]):
-                return True
-        for i in range(1, m - 1):  # nested flip (b)
-            for j in range(i, m - 1):
-                if (
-                    g.has_edge(f, order[i])
-                    and g.has_edge(b, order[j])
-                    and g.has_edge(order[i - 1], order[j + 1])
-                ):
-                    return True
-        for j in range(0, m - 2):  # crossing flip (c)
-            for i in range(j + 1, m - 1):
-                if (
-                    g.has_edge(f, order[i])
-                    and g.has_edge(b, order[j])
-                    and g.has_edge(order[i + 1], order[j + 1])
-                ):
-                    return True
-        return False
 
     # Spanning and non-spanning maximal paths alike: on the latter the
     # off-path vertices must not reach the closure masks.
@@ -223,7 +232,7 @@ def test_try_close_flip_cases_agree_with_naive_search():
                 continue  # an isolated edge: no closure to check
             spanning = len(p) == g.n
             c = try_close(p)
-            assert (c is not None) == naive_closes(g, p.order)
+            assert (c is not None) == (_first_flip(g, p.order)[0] is not None)
             if c is not None:
                 assert len(c) == len(p) and set(c.order) == set(p.order)
                 assert all(
@@ -237,6 +246,33 @@ def test_try_close_flip_cases_agree_with_naive_search():
                 assert verify_certificate(g, cert) == min_degree(g) + 1
                 stuck[spanning] += 1
     assert closed[True] > 20 and closed[False] > 0 and stuck[False] > 0
+
+
+def test_try_close_returns_the_first_flip_cycle():
+    # Not only whether a maximal path closes, but by which flip and (i, j):
+    # the least j for (a), the least (i, j) for (b), and for (c) only once
+    # no (b) exists.  The 20-40 vertex graphs give (b) hits with several j.
+    import itertools
+
+    graphs = random_graphs(8, 60, seed=13)
+    for n in range(20, 41, 5):
+        graphs += random_graphs(n, 40, seed=n)
+    seen = {"a": 0, "b": 0, "c": 0, None: 0, "several b": 0}
+    for g in graphs:
+        for u, v in itertools.islice(g.edges(), 3):
+            p = extend_maximal(PathState(g, (u, v)))
+            if len(p) < 3:
+                continue
+            case, js, positions = _first_flip(g, p.order)
+            c = try_close(p)
+            if case is None:
+                assert c is None
+            else:
+                assert c.order == CycleSeq(g, [p.order[q] for q in positions]).order
+            seen[case] += 1
+            seen["several b"] += case == "b" and js > 1
+    assert seen["b"] > 10 and seen["c"] > 5 and seen["several b"] > 2
+    assert seen["a"] > 100 and seen[None] > 100
 
 
 # ---------------------------------------------------------------------------
