@@ -62,12 +62,10 @@ def _read_text(path: str | None) -> str:
 def _write_text(text: str, path: str | None) -> None:
     """Write text, then a newline, to path, or to stdout if path is None."""
     if path is None:
-        sys.stdout.write(text)
-        sys.stdout.write("\n")
+        print(text)
     else:
         with open(path, "w") as f:
-            f.write(text)
-            f.write("\n")
+            print(text, file=f)
 
 
 def _build_parser() -> _Parser:

@@ -71,6 +71,8 @@ class Graph:
         return bool((self._adj[u] >> v) & 1)
 
     def degree(self, v: int) -> int:
+        if not 0 <= v < self.n:
+            raise ValueError(f"vertex out of range: {v}")
         return self._deg[v]
 
     @property
@@ -78,6 +80,8 @@ class Graph:
         return self._deg
 
     def neighbors(self, v: int) -> tuple[int, ...]:
+        if not 0 <= v < self.n:
+            raise ValueError(f"vertex out of range: {v}")
         return tuple(_bits(self._adj[v]))
 
     def edges(self):
@@ -180,14 +184,12 @@ def min_degree(g: Graph) -> int:
 
 
 def components(g: Graph) -> list[int]:
-    """Connected components as vertex masks, ordered by smallest member."""
+    """Masks of the components of vertex 0 and of the lowest vertex outside it."""
     out: list[int] = []
     unseen = (1 << g.n) - 1
     adj = g.adj_bits
-    while unseen:
-        start = (unseen & -unseen).bit_length() - 1
-        comp = 1 << start
-        frontier = comp
+    while unseen and len(out) < 2:
+        comp = frontier = unseen & -unseen
         while frontier:
             grow = 0
             for v in _bits(frontier):

@@ -266,13 +266,13 @@ def extract_certificate(p: PathState) -> HoleCertificate:
     Requires a maximal path of length >= 3 whose closure failed (checked);
     g is its graph.  With k = min_degree(g) + 1, for each split
     s = 1..floor(k/2), t = k-s, let k_s be the (0-based) position of the
-    s-th neighbor of the front along the path.  The four derived sets (predecessors of front-neighbors up to
-    k_s; successors of back-neighbors from k_s on; the front plus successors
-    of its neighbors from k_s on; successors of back-neighbors before k_s)
-    yield holes: closure failure makes (A, B) and (D, C) edge-free, and
-    counting shows |B| >= t or (|D| >= s and |C| >= t).  The certificate is
-    self-checked against g, so a shortfall would surface as that check's
-    ContractViolationError (CLI exit 4).
+    s-th neighbor of the front along the path.  Four derived sets A-D
+    (predecessors of front-neighbors up to k_s; successors of back-neighbors
+    from k_s on; the front plus successors of its neighbors from k_s on;
+    successors of back-neighbors before k_s) yield holes: closure failure
+    makes (A, B) and (D, C) edge-free, and counting shows |B| >= t or
+    (|D| >= s and |C| >= t).  The certificate is self-checked against g, so
+    a shortfall surfaces as that check's ContractViolationError (exit 4).
     """
     _check_maximal(p, "extract_certificate")
     g, order = p.graph, p.order
@@ -301,17 +301,17 @@ def extract_certificate(p: PathState) -> HoleCertificate:
 
 
 def disconnected_certificate(g: Graph) -> HoleCertificate:
-    """Certificate k = delta+2 from two connected components.
+    """Certificate k = delta+2 from the two lowest connected components.
 
-    Every component has >= delta+1 vertices, so for each split i the i
-    lowest vertices of the first component (by smallest member) and the
+    These are the two that components(g) returns: the component of vertex 0
+    and that of the lowest vertex outside it.  Each has >= delta+1 vertices,
+    so for each split i the i lowest vertices of the first and the
     delta+2-i lowest of the second form a hole.
     """
     comps = components(g)
     if len(comps) < 2:
         raise ValueError("graph is connected")
-    delta = min_degree(g)
-    k = delta + 2
+    k = min_degree(g) + 2
     first, second = list(_bits(comps[0])), list(_bits(comps[1]))
     pairs = (
         BipartiteHole(tuple(first[:i]), tuple(second[: k - i]))
@@ -345,14 +345,14 @@ def reopen_cycle(c: CycleSeq) -> PathState:
 def find_hamilton(g: Graph) -> HamResult:
     """A spanning cycle, or a certificate that alpha_tilde(g) > min degree.
 
-    Disconnected graphs short-circuit to the two-component certificate.
-    Otherwise: start from the lexicographically smallest edge and repeat
-    extend / close / reopen.  Each iteration grows the path, so there are at
-    most n iterations; closure failure on a maximal path terminates with the
-    extracted certificate.  The certificate value is always >= delta+1, and
-    the whole run is deterministic.  Intermediate cycles are reopened
-    unchecked; the returned cycle is checked once, and a check failure is a
-    ContractViolationError.
+    Disconnected graphs short-circuit to disconnected_certificate, built from
+    the two lowest components.  Otherwise: start from the lexicographically
+    smallest edge and repeat extend / close / reopen.  Each iteration grows
+    the path, so there are at most n iterations; closure failure on a maximal
+    path terminates with the extracted certificate.  The certificate value
+    is always >= delta+1, and the whole run is deterministic.  Intermediate
+    cycles are reopened unchecked; the returned cycle is checked once, and a
+    check failure is a ContractViolationError.
     """
     if g.n < 3:
         raise ValueError(f"find_hamilton needs n >= 3, got {g.n}")

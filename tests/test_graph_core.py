@@ -42,6 +42,16 @@ def test_basic_accessors():
     assert list(g.edges()) == [(0, 1), (0, 3), (1, 2)]
 
 
+def test_vertex_accessors_refuse_out_of_range_ids():
+    g = Graph(4, [(0, 1), (1, 2), (0, 3)])
+    for v in (-1, 4):
+        for accessor in (g.degree, g.neighbors):
+            with pytest.raises(ValueError, match=rf"^vertex out of range: {v}$"):
+                accessor(v)
+    with pytest.raises(ValueError, match=r"^vertex out of range: \(0, -1\)$"):
+        g.has_edge(0, -1)
+
+
 def test_construction_rejects_bad_edges():
     with pytest.raises(ValueError, match="self-loop"):
         Graph(3, [(0, 0)])
@@ -105,9 +115,11 @@ def test_remove_edges():
 
 def test_components_and_min_degree():
     g = Graph(5, [(3, 4), (0, 1)])
-    assert components(g) == [0b11, 0b100, 0b11000]
+    # Only the two lowest components: those of 0 and of 2, not that of 3.
+    assert components(g) == [0b11, 0b100]
     assert min_degree(g) == 0
     assert components(cycle_graph(4)) == [0b1111]
+    assert components(Graph(0)) == []
     with pytest.raises(ValueError):
         min_degree(Graph(0))
 
@@ -118,16 +130,13 @@ def test_components_match_networkx(corpus_upto5):
     for i, p in enumerate((0.02, 0.05, 0.1, 0.3)):
         graphs += random_graphs(30, 25, seed=i, p=p)
     for g in graphs:
+        # networkx's components of vertex 0 and of the lowest vertex outside
+        # it, and one mask exactly when g is connected.
+        h = to_nx(g)
         masks = components(g)
-        covered = 0
-        for mask in masks:
-            assert mask and not mask & covered, g
-            covered |= mask
-        assert covered == (1 << g.n) - 1, g
-        lows = [mask & -mask for mask in masks]
-        assert lows == sorted(lows), g
-        want = sorted(sorted(c) for c in nx.connected_components(to_nx(g)))
-        assert [list(_bits(mask)) for mask in masks] == want, g
+        comps = sorted(sorted(c) for c in nx.connected_components(h))
+        assert [list(_bits(mask)) for mask in masks] == comps[:2], g
+        assert (len(masks) == 1) == nx.is_connected(h), g
 
 
 def test_disjoint_union():

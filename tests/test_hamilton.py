@@ -1,6 +1,7 @@
 """Path/cycle states, the three closure flips, and the find_hamilton loop."""
 
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings
@@ -339,6 +340,21 @@ def test_disconnected_certificate():
         ((0,), (3, 4, 5)),
         ((0, 1), (3, 4)),
     ]
+
+
+def test_edgeless_graph_costs_two_component_searches():
+    # 50000 components, but the certificate reads only the two lowest; a
+    # mask for every component would peak near 160 MiB.
+    g = Graph(50_000)
+    tracemalloc.start()
+    try:
+        result = find_hamilton(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.certificate.k == 2
+    assert [(h.s_side, h.t_side) for h in result.certificate.pairs] == [((0,), (1,))]
+    assert peak < 2**20
 
 
 def test_reopen_cycle_picks_lowest_attachment():
