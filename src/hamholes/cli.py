@@ -74,12 +74,9 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("gen", help="write a graph from a named family")
     p.add_argument("--family", required=True, help="family name or spec string")
-    p.add_argument("--n", type=int)
-    p.add_argument("--p", type=float)
-    p.add_argument("--a", type=int)
-    p.add_argument("--b", type=int)
-    p.add_argument("--k", type=int)
-    p.add_argument("--l", type=int)
+    flags = {f: kind for _, params in FAMILIES.values() for f, kind in params.items()}
+    for flag, kind in flags.items():
+        p.add_argument(f"--{flag}", type=kind)
     p.add_argument("--seed", type=int)
     p.add_argument("--out")
     p.set_defaults(run=_cmd_gen)

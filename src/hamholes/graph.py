@@ -298,18 +298,18 @@ def gnp_graph(n: int, p: float, seed: int) -> Graph:
 
 
 # The atomic families: the name of each one's builder in this module and
-# the parameters it takes, in spec order; the CLI's gen flags carry the same
-# names.  p is a float, every other parameter an int, and gnp also takes
-# generate's seed.  A builder is looked up by name on each call, so a
-# wrapper put on the module's global (as perfbench's tracer does) sees it.
+# its parameters in spec order, each with the type it is read as.  The CLI
+# declares gen's flags from them in first-seen order.  gnp also takes
+# generate's seed.  A builder is looked up by name on each call, so a wrapper
+# put on the module's global (as perfbench's tracer does) sees it.
 FAMILIES = {
-    "complete": ("complete_graph", ("n",)),
-    "bipartite": ("bipartite_graph", ("a", "b")),
-    "cycle": ("cycle_graph", ("n",)),
-    "path": ("path_graph", ("n",)),
-    "petersen": ("petersen_graph", ()),
-    "fan-example": ("fan_example_graph", ("k", "l")),
-    "gnp": ("gnp_graph", ("n", "p")),
+    "complete": ("complete_graph", {"n": int}),
+    "gnp": ("gnp_graph", {"n": int, "p": float}),
+    "bipartite": ("bipartite_graph", {"a": int, "b": int}),
+    "cycle": ("cycle_graph", {"n": int}),
+    "path": ("path_graph", {"n": int}),
+    "petersen": ("petersen_graph", {}),
+    "fan-example": ("fan_example_graph", {"k": int, "l": int}),
 }
 
 _TOKEN = re.compile(r"[(),]|[^\s(),]+")
@@ -347,7 +347,7 @@ def _spec(toks: deque[str], seed: int | None, depth: int) -> Graph:
     name = toks.popleft()
     if name in FAMILIES:
         builder, params = FAMILIES[name]
-        args = [_number(toks, float if param == "p" else int) for param in params]
+        args = [_number(toks, kind) for kind in params.values()]
         if name == "gnp":
             args.append(seed)
         return globals()[builder](*args)

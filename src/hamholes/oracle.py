@@ -142,8 +142,6 @@ def vertex_connectivity_exact(g: Graph, budget: int = DEFAULT_BUDGET) -> int:
     n = g.n
     if n < 1:
         raise ValueError("connectivity needs a nonempty graph")
-    if g.m == n * (n - 1) // 2:
-        return n - 1
     adj = g.adj_bits
     probes = 0
 
@@ -173,7 +171,7 @@ def exists_edge_disjoint_hc_exact(
     Nested backtracking: enumerate Hamilton cycles of the current graph and
     recurse on the graph minus each one; the last level only asks whether
     one cycle exists.  Cheap necessary conditions (m >= r*n, min degree
-    >= 2r) prune each level.  Intended for small instances (about n <= 10,
+    >= 2r) prune each level.  Intended for small instances (about n <= 12,
     r <= 2); the budget is shared across the whole nested search.
     """
     if g.n < 3:

@@ -89,6 +89,20 @@ def test_gen_flags_and_spec_string_agree(family, capsys):
     assert capsys.readouterr() == by_flags
 
 
+def test_gen_flags_come_from_the_family_table_in_first_seen_order(capsys):
+    with pytest.raises(SystemExit):
+        run_cli("gen", "--help")
+    usage = capsys.readouterr().out.split("\n\n")[0]
+    assert re.findall(r"--(\w+)", usage) == [
+        "family", "n", "p", "a", "b", "k", "l", "seed", "out"
+    ]
+    # Each flag is read as its parameter's type, so argparse refuses a bad value.
+    assert run_cli("gen", "--family", "complete", "--n", "7.5") == 1
+    assert "argument --n: invalid int value: '7.5'" in capsys.readouterr().err
+    assert run_cli("gen", "--family", "gnp", "--n", "7", "--p", "x") == 1
+    assert "argument --p: invalid float value: 'x'" in capsys.readouterr().err
+
+
 def test_gen_deeply_nested_spec_is_one_error_line(capsys):
     def nested(depth):
         return "complement-of (" * depth + "complete 3" + ")" * depth

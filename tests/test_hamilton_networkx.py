@@ -5,7 +5,9 @@ certificate that verifies with value at least min degree + 1;
 ``find_edge_disjoint_hamilton`` must return Hamilton cycles of g that share
 no edge.  Cycles are checked by networkx, not by ``CycleSeq``.  On every
 graph of networkx's atlas with 3 to 7 vertices, the theorem itself is
-checked: delta >= alpha_tilde gives a Hamilton cycle.
+checked: delta >= alpha_tilde gives a Hamilton cycle.  The paper's bounds on
+the work and on the certificate values are checked there and on G(n, p), by
+counting the solver's calls.
 """
 
 import itertools
@@ -17,8 +19,8 @@ from hypothesis import strategies as st
 
 from corpusutil import to_nx
 from hamholes.disjoint import find_edge_disjoint_hamilton
-from hamholes.graph import Graph, gnp_graph, min_degree
-from hamholes.hamilton import find_hamilton
+from hamholes.graph import Graph, components, gnp_graph, min_degree
+from hamholes.hamilton import extend_maximal, find_hamilton
 from hamholes.holes import verify_certificate
 
 nx = pytest.importorskip("networkx")
@@ -108,3 +110,53 @@ def test_theorem_on_the_graph_atlas():
             assert sorted(order) == list(range(n))
             assert all(g.has_edge(order[i - 1], order[i]) for i in range(n))
     assert (covered, qualifying) == (1249, 104)
+
+
+def paper_bound_slack(g: Graph) -> tuple[int, int]:
+    """Extract edge-disjoint cycles from g and check the paper's bounds: a
+    find makes at most n - 2 rounds (extend_maximal calls), an extraction at
+    most floor(delta/2) + 1 finds, a certificate has k = delta + 1 (delta + 2
+    when it comes from two components), and the translated value is
+    max(1, floor((delta - 2 r_hat + 1)/(r_hat + 1))).  Returns how far the
+    two work counts stayed below their bounds."""
+    rounds = []
+
+    def counted_extend(p):
+        rounds[-1] += 1
+        return extend_maximal(p)
+
+    def checked_find(h):
+        rounds.append(0)
+        res = find_hamilton(h)
+        if res.certificate is not None:
+            split = len(components(h)) > 1
+            assert res.certificate.k == min_degree(h) + 1 + split
+        return res
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("hamholes.hamilton.extend_maximal", counted_extend)
+        mp.setattr("hamholes.disjoint.find_hamilton", checked_find)
+        result = find_edge_disjoint_hamilton(g)
+    delta, r_hat = min_degree(g), len(result.cycles)
+    assert len(rounds) == r_hat + 1 <= delta // 2 + 1
+    assert max(rounds) <= g.n - 2
+    value = max(1, (delta - 2 * r_hat + 1) // (r_hat + 1))
+    assert result.translated_certificate.k == value
+    return g.n - 2 - max(rounds), delta // 2 + 1 - len(rounds)
+
+
+def test_paper_bounds_on_the_graph_atlas():
+    slack = [
+        paper_bound_slack(Graph(h.number_of_nodes(), h.edges()))
+        for h in nx.graph_atlas_g()
+        if h.number_of_nodes() >= 3
+    ]
+    # Both work bounds are reached.
+    assert min(rounds for rounds, _ in slack) == 0
+    assert min(finds for _, finds in slack) == 0
+
+
+@SETTINGS
+@given(gnp_graphs(max_n=40))
+def test_paper_bounds_on_gnp(g):
+    paper_bound_slack(g)

@@ -2,6 +2,7 @@
 
 import pytest
 
+import hamholes.randomlab as randomlab
 from hamholes.graph import gnp_graph
 from hamholes.randomlab import (
     ExperimentConfig,
@@ -231,3 +232,17 @@ def test_na_propagates_through_the_violation_columns(n, p, cells, count_line):
         assert {key: row[key] for key in cells} == cells
         assert row["violation_lower"] == "0"
     assert count_line in lines
+
+
+def test_upper_violation_is_recorded_and_counted(monkeypatch):
+    # K_12 has delta = 11 >= d = 8 and alpha_tilde = 1, so neither cause of
+    # the upper inclusion holds; an oracle that finds no cycle then makes the
+    # sample a violation, which the true oracle never does on this config.
+    monkeypatch.setattr(randomlab, "exists_edge_disjoint_hc_exact", lambda *a: False)
+    report = run_experiment(ExperimentConfig(n=12, p=1.0, r=1, samples=1))
+    assert (report.d, report.records[0].delta) == (8, 11)
+    assert report.records[0].violation_upper is True
+    lines = report.to_csv().splitlines()
+    cols = lines[0].split(",")
+    assert dict(zip(cols, lines[1].split(",")))["violation_upper"] == "1"
+    assert "# count violation_upper: 1/1 known=1" in lines
