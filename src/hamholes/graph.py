@@ -126,54 +126,36 @@ def _bits(mask: int):
         mask ^= low
 
 
-def _row(nbrs: list[int]) -> int:
-    """Bitmask of the vertices in ``nbrs``: one byte per 8 vertices, each
-    entry set in place, then read by int.from_bytes.  A repeated vertex sets
-    its bit once, so the row ends up with fewer bits than ``nbrs`` has
-    entries."""
-    width = max(nbrs, default=-1) + 1
-    packed = bytearray((width + 7) // 8)
-    for v in nbrs:
-        packed[v >> 3] |= 1 << (v & 7)
-    return int.from_bytes(packed, "little")
+def _edge_graph(n: int, us: list[int], vs: list[int]) -> Graph | None:
+    """The graph on 0..n-1 with edges ``us[i] vs[i]``, or None if an edge has
+    a vertex out of range, is a self-loop or repeats.
 
-
-def _edge_rows(n: int, us: list[int], vs: list[int]) -> list[int] | None:
-    """Adjacency rows of the graph on 0..n-1 with edges ``us[i] vs[i]``, or
-    None if an edge has a vertex out of range, is a self-loop or repeats.
-
-    Both callers pass non-negative ids (the canonical layout admits only
-    digits, and the line loop range-checks each edge), so only the upper
-    bound is checked.  One rule per graph, with no rule per row, picks the
-    builder: when the rows are on average at least 1/16 full (32m >= n^2,
-    so the buffers take at most 32 bytes per edge), both ends of every edge
-    write a "1" straight into one ASCII digit row per vertex, where an
-    out-of-range id raises IndexError; sparser graphs get neighbour lists,
-    each row built by _row.  The checks and the per-edge work run in C-level
-    builtins; only the rows are built per vertex.
+    One rule per graph, with no rule per row, picks the builder.  Graphs
+    whose rows are on average less than 1/16 full (32m < n^2) go through
+    Graph(n, edges), which checks and sets each edge.  Denser ones, whose
+    buffers then take at most 32 bytes per edge, have both ends of every edge
+    write a "1" straight into one ASCII digit row per vertex, in C-level
+    builtins.  Both callers pass non-negative ids (the canonical layout admits
+    only digits, and the line loop range-checks each edge), so an id out of
+    range of the digit rows is too large and raises IndexError.
     """
-    if 32 * len(us) >= n * n:
-        digits = [bytearray(b"0") * n for _ in range(n)]
-        row = digits.__getitem__
+    if 32 * len(us) < n * n:
         try:
-            deque(map(setitem, map(row, us), vs, repeat(ord("1"))), maxlen=0)
-            deque(map(setitem, map(row, vs), us, repeat(ord("1"))), maxlen=0)
-        except IndexError:
+            return Graph(n, zip(us, vs))
+        except ValueError:
             return None
-        deque(map(bytearray.reverse, digits), maxlen=0)
-        rows = list(map(int, digits, repeat(2)))
-    else:
-        if us and (max(us) >= n or max(vs) >= n):
-            return None
-        nbrs: list[list[int]] = [[] for _ in range(n)]
-        deque(map(list.append, map(nbrs.__getitem__, vs), us), maxlen=0)
-        deque(map(list.append, map(nbrs.__getitem__, us), vs), maxlen=0)
-        rows = list(map(_row, nbrs))
+    digits = [bytearray(b"0") * n for _ in range(n)]
+    row = digits.__getitem__
+    try:
+        deque(map(setitem, map(row, us), vs, repeat(ord("1"))), maxlen=0)
+        deque(map(setitem, map(row, vs), us, repeat(ord("1"))), maxlen=0)
+    except IndexError:
+        return None
+    deque(map(bytearray.reverse, digits), maxlen=0)
+    g = Graph._from_rows(n, map(int, digits, repeat(2)))
     # Each edge set two entries, so the rows hold 2m bits unless some row got
     # a vertex twice: a duplicate edge, or a self-loop (u twice in u's row).
-    if sum(map(int.bit_count, rows)) != 2 * len(us):
-        return None
-    return rows
+    return g if g.m == len(us) else None
 
 
 def min_degree(g: Graph) -> int:
@@ -419,9 +401,9 @@ def _keyword_header(text: str, keyword: str, name: str):
     return value, lineno, lines[1:]
 
 
-# The most vertices a parsed header may ask for.  A graph costs tens of bytes
-# per vertex before its first edge (neighbour lists, rows, degrees), so a
-# header alone must not decide how much memory a parse takes.
+# The most vertices a parsed header may ask for.  A graph costs about 24 bytes
+# per vertex before its first edge (its rows as a list, then a tuple, and its
+# degrees), so a header alone must not decide how much memory a parse takes.
 MAX_PARSED_VERTICES = 10**6
 
 
@@ -463,8 +445,7 @@ def _parse_canonical(text: str) -> Graph | None:
     _check_vertex_count(n, 1)
     if len(nums) != 2 * m + 2:
         return None
-    rows = _edge_rows(n, nums[2::2], nums[3::2])
-    return None if rows is None else Graph._from_rows(n, rows)
+    return _edge_graph(n, nums[2::2], nums[3::2])
 
 
 def _data_lines(text: str):
@@ -513,7 +494,7 @@ def parse_graph(text: str) -> Graph:
         vs.append(v)
     if len(us) != m:
         raise GraphFormatError(f"expected {m} edge lines, found {len(us)}")
-    return Graph._from_rows(n, _edge_rows(n, us, vs))
+    return _edge_graph(n, us, vs)
 
 
 _FLAGS = bytes.maketrans(b"01", b"\x00\x01")

@@ -294,9 +294,9 @@ def _circulant(n, steps):
 
 
 # A graph whose rows are on average at least 1/16 full is read through one
-# digit row per vertex (complete_graph(300)); a sparser one gets neighbour
-# lists, each packed into one byte per 8 vertices by _row (the 22-regular
-# circulant on 4096 vertices, whose rows are wide and sparse).
+# digit row per vertex (complete_graph(300)); a sparser one is built edge by
+# edge by Graph(n, edges) (the 22-regular circulant on 4096 vertices, whose
+# rows are wide and sparse).
 LARGE_ROWS = [complete_graph(300), _circulant(4096, [1, *range(300, 3300, 300)])]
 
 
@@ -333,23 +333,26 @@ def test_parse_rejects_duplicate_in_large_rows(g):
 
 
 @pytest.mark.parametrize(
-    "n,edges,lists",
+    "n,edges,sparse",
     [
         (8, [(0, 1), (2, 3)], False),  # 32m = n^2: digit rows
-        (8, [(0, 1)], True),  # 32m < n^2: neighbour lists
+        (8, [(0, 1)], True),  # 32m < n^2: Graph(n, edges)
         (0, [], False),
         (1, [], True),
     ],
 )
-def test_row_builder_switches_at_one_sixteenth(monkeypatch, n, edges, lists):
+def test_row_builder_switches_at_one_sixteenth(monkeypatch, n, edges, sparse):
+    expected = Graph(n, edges)
     calls = []
-    row = graph_module._row
-    monkeypatch.setattr(graph_module, "_row", lambda nbrs: calls.append(1) or row(nbrs))
+    init = Graph.__init__
+    monkeypatch.setattr(
+        Graph, "__init__", lambda g, *args: calls.append(1) or init(g, *args)
+    )
     text = "\n".join([f"{n} {len(edges)}", *(f"{u} {v}" for u, v in edges)])
     for layout in (text, text.replace("\n", " \n")):
         calls.clear()
-        assert parse_graph(layout) == Graph(n, edges)
-        assert len(calls) == (n if lists else 0)
+        assert parse_graph(layout) == expected
+        assert len(calls) == (1 if sparse else 0)
 
 
 def test_serialize_layout():
@@ -415,11 +418,28 @@ def test_parse_allocation_follows_edges(text):
     assert peak < 64 * 2**20
 
 
+@pytest.mark.parametrize(
+    "text", ["1000000 0\n", "# slow path\n1000000 0\n"], ids=["canonical", "loop"]
+)
+def test_largest_header_allocates_few_bytes_per_vertex(text):
+    # The header limit with no edges: the rows, their tuple and the degrees
+    # take 8 bytes per vertex each, about 23 MiB.  An empty list per vertex
+    # would add about 53 MiB more.
+    tracemalloc.start()
+    try:
+        g = parse_graph(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (g.n, g.m) == (10**6, 0)
+    assert peak < 32 * 2**20
+
+
 @pytest.mark.parametrize("n,p", [(700, 0.5), (4000, 0.01)])
 def test_canonical_parse_allocation_follows_edges(n, p):
     # About 122k and 80k edges.  The numbers and their two column slices,
-    # plus the digit rows of G(700, 0.5) or the neighbour lists of
-    # G(4000, 0.01), peak near 10 and 11 MB; a layout regex holding
+    # plus the digit rows of G(700, 0.5) or the rows that Graph(n, edges)
+    # grows for G(4000, 0.01), peak near 10 and 9 MB; a layout regex holding
     # backtracking state per line would peak near 24 and 16 MB.
     g = gnp_graph(n, p, 1)
     text = serialize_graph(g) + "\n"

@@ -139,11 +139,11 @@ def test_number_past_digit_limit_is_a_format_error(text, expected):
 
 # G(60, 0.5) fills its rows well past 1/16 on average (32m >= n^2), so the
 # bulk parse writes digit rows; 50 edges on 200 vertices stay below that, so
-# it builds neighbour lists.
+# it builds the graph through the constructor, Graph(n, edges).
 PAIRS_200 = [(u, v) for u in range(200) for v in range(u + 1, 200)]
 ROW_PATHS = {
     "digit-rows": gnp_graph(60, 0.5, 1),
-    "neighbour-lists": Graph(200, random.Random(1).sample(PAIRS_200, 50)),
+    "constructor": Graph(200, random.Random(1).sample(PAIRS_200, 50)),
 }
 
 
