@@ -135,9 +135,9 @@ def _edge_graph(n: int, us: list[int], vs: list[int]) -> Graph | None:
     Graph(n, edges), which checks and sets each edge.  Denser ones, whose
     buffers then take at most 32 bytes per edge, have both ends of every edge
     write a "1" straight into one ASCII digit row per vertex, in C-level
-    builtins.  Both callers pass non-negative ids (the canonical layout admits
-    only digits, and the line loop range-checks each edge), so an id out of
-    range of the digit rows is too large and raises IndexError.
+    builtins.  Its one caller, the canonical parse, passes non-negative ids
+    (that layout admits only digits), so an id out of range of the digit rows
+    is too large and raises IndexError.
     """
     if 32 * len(us) < n * n:
         try:
@@ -475,26 +475,24 @@ def parse_graph(text: str) -> Graph:
     if n < 0 or m < 0:
         raise GraphFormatError("header counts must be >= 0", lineno)
     _check_vertex_count(n, lineno)
-    us: list[int] = []
-    vs: list[int] = []
-    seen: set[Edge] = set()
+    rows = [0] * n
+    count = 0
     for lineno, fields in lines:
-        if len(us) == m:
+        if count == m:
             raise GraphFormatError(f"more than {m} edge lines", lineno)
         u, v = _ints(fields, "expected edge 'u v'", lineno, 2)
         if not (0 <= u < n and 0 <= v < n):
             raise GraphFormatError(f"vertex out of range in edge {u} {v}", lineno)
         if u == v:
             raise GraphFormatError(f"self-loop at vertex {u}", lineno)
-        key = (min(u, v), max(u, v))
-        if key in seen:
+        if (rows[u] >> v) & 1:
             raise GraphFormatError(f"duplicate edge {u} {v}", lineno)
-        seen.add(key)
-        us.append(u)
-        vs.append(v)
-    if len(us) != m:
-        raise GraphFormatError(f"expected {m} edge lines, found {len(us)}")
-    return _edge_graph(n, us, vs)
+        rows[u] |= 1 << v
+        rows[v] |= 1 << u
+        count += 1
+    if count != m:
+        raise GraphFormatError(f"expected {m} edge lines, found {count}")
+    return Graph._from_rows(n, rows)
 
 
 _FLAGS = bytes.maketrans(b"01", b"\x00\x01")

@@ -348,11 +348,17 @@ def test_row_builder_switches_at_one_sixteenth(monkeypatch, n, edges, sparse):
     monkeypatch.setattr(
         Graph, "__init__", lambda g, *args: calls.append(1) or init(g, *args)
     )
-    text = "\n".join([f"{n} {len(edges)}", *(f"{u} {v}" for u, v in edges)])
-    for layout in (text, text.replace("\n", " \n")):
+    lines = [f"{n} {len(edges)}", *(f"{u} {v}" for u, v in edges)]
+    # Canonical with or without the final newline that gen writes.
+    for text in ("\n".join(lines), "\n".join(lines) + "\n"):
         calls.clear()
-        assert parse_graph(layout) == expected
+        assert parse_graph(text) == expected
         assert len(calls) == (1 if sparse else 0)
+    # The line loop sets the rows as it checks each edge: it never reaches
+    # the density rule or the constructor.
+    calls.clear()
+    assert parse_graph("".join(line + " \n" for line in lines)) == expected
+    assert calls == []
 
 
 def test_serialize_layout():
@@ -435,6 +441,16 @@ def test_largest_header_allocates_few_bytes_per_vertex(text):
     assert peak < 32 * 2**20
 
 
+def parse_peak(text):
+    """The parsed graph and the tracemalloc peak of parsing text."""
+    tracemalloc.start()
+    try:
+        parsed = parse_graph(text)
+        return parsed, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 @pytest.mark.parametrize("n,p", [(700, 0.5), (4000, 0.01)])
 def test_canonical_parse_allocation_follows_edges(n, p):
     # About 122k and 80k edges.  The numbers and their two column slices,
@@ -442,13 +458,18 @@ def test_canonical_parse_allocation_follows_edges(n, p):
     # grows for G(4000, 0.01), peak near 10 and 9 MB; a layout regex holding
     # backtracking state per line would peak near 24 and 16 MB.
     g = gnp_graph(n, p, 1)
-    text = serialize_graph(g) + "\n"
-    tracemalloc.start()
-    try:
-        parsed = parse_graph(text)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    parsed, peak = parse_peak(serialize_graph(g) + "\n")
+    assert parsed == g
+    assert peak < 13 * 2**20
+
+
+@pytest.mark.parametrize("n,p", [(700, 0.5), (4000, 0.01)])
+def test_commented_parse_allocation_follows_edges(n, p):
+    # The same texts behind a comment line, which the line loop reads: its
+    # lines and rows peak near 8 MB.  A set of edge tuples and two id lists
+    # next to them would peak near 24 and 20 MB.
+    g = gnp_graph(n, p, 1)
+    parsed, peak = parse_peak("# c\n" + serialize_graph(g) + "\n")
     assert parsed == g
     assert peak < 13 * 2**20
 

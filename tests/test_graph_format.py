@@ -1,8 +1,10 @@
 """Differential property tests: the bulk parse of canonical text against the
-line-by-line loop, and Graph() against a per-edge reference."""
+line-by-line loop, parse_graph against a line-by-line reference reader, and
+Graph() against a per-edge reference."""
 
 import os
 import random
+import re
 import shutil
 import subprocess
 from pathlib import Path
@@ -218,3 +220,86 @@ def test_graph_matches_per_edge_reference(n, edges):
     assert expected is None
     assert g.m == len(edges)
     assert set(g.edges()) == {(min(e), max(e)) for e in edges}
+
+
+INT_TOKEN = re.compile(r"[+-]?[0-9]+")
+
+
+def reference_read(text):
+    """Read graph text one line at a time by the format's rules, with no code
+    from hamholes: (n, edges as sorted pairs) for a good text, else the first
+    fault's (message, line); line is None for a fault found at the end.
+    Lines end in "\n"; a "\r" before it is whitespace."""
+    header = None
+    edges = set()
+    for number, line in enumerate(text.split("\n"), start=1):
+        tokens = line.partition("#")[0].split()
+        if not tokens:
+            continue  # a blank or comment line
+        pair = len(tokens) == 2 and all(INT_TOKEN.fullmatch(t) for t in tokens)
+        if header is None:
+            if not pair:
+                return f"line {number}: expected header 'n m'", number
+            n, m = map(int, tokens)
+            if n < 0 or m < 0:
+                return f"line {number}: header counts must be >= 0", number
+            header = n, m
+            continue
+        if len(edges) == m:
+            fault = f"more than {m} edge lines"
+        elif not pair:
+            fault = "expected edge 'u v'"
+        else:
+            u, v = map(int, tokens)
+            if not (0 <= u < n and 0 <= v < n):
+                fault = f"vertex out of range in edge {u} {v}"
+            elif u == v:
+                fault = f"self-loop at vertex {u}"
+            elif (min(u, v), max(u, v)) in edges:
+                fault = f"duplicate edge {u} {v}"
+            else:
+                edges.add((min(u, v), max(u, v)))
+                continue
+        return f"line {number}: {fault}", number
+    if header is None:
+        return "missing header 'n m'", None
+    if len(edges) != m:
+        return f"expected {m} edge lines, found {len(edges)}", None
+    return n, edges
+
+
+NOISE = ("", "  ", "# c", "  # 0 1", "x", "1", "0 1 2", "0 x", "+1 02", "1\t0")
+# Mostly a good header, so that most texts reach their edge lines.
+HEADERS = ("{n} {m}",) * 6 + ("{n} {m} # h", "{n}", "{n} {m} 0", "x {m}", "-1 {m}")
+
+
+@st.composite
+def graph_texts(draw):
+    """Graph text with comment and blank lines, bad tokens, extra or missing
+    lines, out-of-range ids, self-loops, duplicates, tabs and CRLF ends."""
+    n = draw(st.integers(0, 6))
+    # Mostly in-range ids; -1 and n are out of range.
+    ids = st.sampled_from([*range(n)] * 4 + [-1, n]).map(str)
+    edge = st.builds("{} {}{}".format, ids, ids, st.sampled_from(["", "", " # c"]))
+    noise = st.sampled_from(NOISE)
+    body = draw(st.lists(st.one_of(edge, edge, edge, noise), max_size=10))
+    data = sum(bool(line.partition("#")[0].split()) for line in body)
+    m = draw(st.one_of(st.just(data), st.integers(-1, data + 1)))
+    header = draw(st.sampled_from(HEADERS)).format(n=n, m=m)
+    lead = draw(st.lists(st.sampled_from(["", "# c", " #"]), max_size=2))
+    # One text in ten has no header line.
+    lines = lead + ([header] if draw(st.integers(0, 9)) else []) + body
+    ends = st.sampled_from(["\n", "\n", "\r\n"])
+    text = "".join(line + draw(ends) for line in lines)
+    return text if draw(st.booleans()) else text.rstrip("\r\n")
+
+
+@settings(max_examples=400, deadline=None)
+@given(graph_texts())
+def test_parse_matches_line_reference(text):
+    expected = reference_read(text)
+    for layout in (text, padded(text)):
+        got = outcome(layout)
+        if isinstance(got, Graph):
+            got = got.n, set(got.edges())
+        assert got == expected
