@@ -42,15 +42,12 @@ EXIT_BUDGET = 3
 EXIT_INTERNAL = 4
 
 
-class _UsageError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     # argparse exits with status 2 on usage errors; 2 is taken by the
-    # certificate outcome, so usage problems are rerouted to exit 1.
+    # certificate outcome, so usage problems are rerouted to exit 1 as the
+    # ValueError main reports.
     def error(self, message):
-        raise _UsageError(message)
+        raise ValueError(message)
 
 
 def _read_text(path: str | None) -> str:
@@ -229,13 +226,8 @@ def _cmd_verify(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    try:
+        args = _build_parser().parse_args(argv)
         return args.run(args)
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)

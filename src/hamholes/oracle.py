@@ -9,10 +9,10 @@ expansion.  Vertex connectivity is found by unit-capacity max-flows
 (Even's algorithm), one probe per augmenting-path search.  None of these
 routines sit on the main algorithms' hot path.
 
-The searches run in ``hamholes._kernels``.  The edge-disjoint search walks
-all Hamilton cycles through the kernels' one Hamilton DFS, the same search
-in the same order as the single-cycle kernel, so one node budget counts
-both.
+The three backtracking searches run in ``hamholes._kernels``; the
+connectivity max-flows run here.  The edge-disjoint search walks all
+Hamilton cycles through the kernels' one Hamilton DFS, the same search in
+the same order as the single-cycle kernel, so one node budget counts both.
 """
 
 from __future__ import annotations
@@ -63,64 +63,45 @@ def independence_number_exact(g: Graph, budget: int = DEFAULT_BUDGET) -> int:
 def _local_connectivity(adj, n: int, s: int, t: int, cap: int, spend) -> int:
     """Internally disjoint s-t paths for non-adjacent s, t, counted up to cap.
 
-    Unit-capacity max-flow on the split network: every vertex v other than
-    s and t becomes an arc v_in -> v_out of capacity 1, and every edge uv
-    becomes arcs u_out -> v_in and v_out -> u_in of unbounded capacity.
-    Nodes are numbered v for v_in and n + v for v_out.  Each augmenting path
-    is found by one breadth-first search, which first calls spend().
+    Unit-capacity max-flow (Edmonds-Karp) on the split network: node v is
+    v_in and node n + v is v_out, every vertex v gives an arc v_in -> v_out
+    and every edge uv the arcs u_out -> v_in and v_out -> u_in, all of
+    capacity 1.  The flow runs from s_out to t_in.  Capacity 1 on the edge
+    arcs loses no flow: an arc u_out -> v_in carries at most the one unit
+    that enters u_out or, when u = s, the one unit that leaves v_in (s and
+    t are not adjacent).  ``res[x]`` is the mask of x's residual arcs; an
+    augmenting path reverses each of its arcs.  Each augmenting path is
+    found by one breadth-first search, which first calls spend().
     """
-    back = [0] * n  # back[w]: mask of the v with flow on the arc v_out -> w_in
-    through = 0  # vertices whose arc v_in -> v_out carries flow
-    flow = 0
+    res = [1 << (n + v) for v in range(n)] + list(adj)
     source = n + s
     tbit = 1 << t
+    flow = 0
     while flow < cap:
         spend()
         parent = [-1] * (2 * n)
-        seen_in = 1 << s
-        seen_out = 1 << s
+        seen = 1 << source | 1 << s  # s_in leads only back to s_out
         queue = [source]
         for x in queue:
-            if x >= n:
-                v = x - n
-                new = adj[v] & ~seen_in
-                if new & tbit:
-                    parent[t] = x
-                    break
-                seen_in |= new
-                for w in _bits(new):
-                    parent[w] = x
-                    queue.append(w)
-                # Undo flow on v's own arc: v_out -> v_in.
-                if (through >> v) & 1 and not (seen_in >> v) & 1:
-                    seen_in |= 1 << v
-                    parent[v] = x
-                    queue.append(v)
-            else:
-                # Along x's own arc if it is free, else back along the edge
-                # its flow arrived by.
-                nxt = back[x] if (through >> x) & 1 else 1 << x
-                if nxt & ~seen_out:
-                    seen_out |= nxt
-                    y = n + nxt.bit_length() - 1
-                    parent[y] = x
-                    queue.append(y)
+            new = res[x] & ~seen
+            if new & tbit:
+                parent[t] = x
+                break
+            seen |= new
+            while new:
+                low = new & -new
+                y = low.bit_length() - 1
+                parent[y] = x
+                queue.append(y)
+                new ^= low
         else:  # no augmenting path: the flow is maximum
             return flow
-        x = t
-        while x != source:
-            p = parent[x]
-            if p >= n:
-                v = p - n
-                if v == x:
-                    through &= ~(1 << v)
-                else:
-                    back[x] |= 1 << v
-            elif x - n == p:
-                through |= 1 << p
-            else:
-                back[p] &= ~(1 << (x - n))
-            x = p
+        y = t
+        while y != source:
+            x = parent[y]
+            res[x] ^= 1 << y
+            res[y] |= 1 << x
+            y = x
         flow += 1
     return flow
 

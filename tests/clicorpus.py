@@ -17,6 +17,11 @@ benchmark's exact-workload experiments, with the default budget and with
 ``--budget`` 40 and 200, which turn most oracle cells into NA.  Their CSV
 digests were recorded before the experiment's alpha-tilde column became a
 threshold test, so they pin the NA cells of the exact scan.
+
+The ``analyze-exact-cocktail20-*`` entries give the 20-vertex cocktail-party
+graph budgets of 161 and 162: alpha and alpha-tilde pass under both, and the
+connectivity search needs exactly 162 augmenting-path searches, so the first
+trips its budget and the second prints kappa.
 """
 
 from __future__ import annotations

@@ -113,6 +113,9 @@ def test_local_connectivity_reroutes_through_used_vertex(n, edges, s, t, want):
 
 
 def test_local_connectivity_matches_networkx_on_sparse_graphs():
+    # Stopped at cap, a pair of local connectivity c gives min(c, cap) after
+    # one search per path found and, when c < cap, one more that finds none.
+    # The budget counts these searches, so the count is pinned as well.
     rng = random.Random(11)
     for _ in range(60):
         n = rng.randint(6, 14)
@@ -120,9 +123,16 @@ def test_local_connectivity_matches_networkx_on_sparse_graphs():
         h = to_nx(g)
         for s in range(n):
             for t in range(s + 1, n):
-                if not g.has_edge(s, t):
-                    got = _local_connectivity(g.adj_bits, n, s, t, n, lambda: None)
-                    assert got == local_node_connectivity(h, s, t)
+                if g.has_edge(s, t):
+                    continue
+                c = local_node_connectivity(h, s, t)
+                for cap in (1, 2, n):
+                    searches = []
+                    got = _local_connectivity(
+                        g.adj_bits, n, s, t, cap, lambda: searches.append(1)
+                    )
+                    assert got == min(c, cap)
+                    assert len(searches) == min(c, cap) + (c < cap)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 7, 16])
