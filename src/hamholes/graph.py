@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import random
 import re
+from bisect import bisect_left
 from collections import deque
 from collections.abc import Iterable
 from itertools import compress, repeat
@@ -252,23 +253,73 @@ def fan_example_graph(k: int, l: int) -> Graph:
     return Graph(2 * k + 2 * l + 2, edges)
 
 
+# Rows of at least this many pairs take their draws in one getrandbits call;
+# gnp_graph's docstring gives the measurement behind the cut.
+_GNP_BULK_PAIRS = 64
+
+
 def gnp_graph(n: int, p: float, seed: int) -> Graph:
     """Erdos-Renyi sample: one uniform draw per vertex pair in lexicographic
     order, edge present iff the draw is < p.  Same (n, p, seed) always gives
-    the same graph."""
+    the same graph.
+
+    A row of k >= _GNP_BULK_PAIRS pairs reads the same generator output as
+    its k calls to ``random()``, as one ``getrandbits(64 * k)``: the 2k
+    32-bit words in the same order, the first in the lowest bits.  A draw
+    from words a, b is N / 2**53 with N = (a >> 5) * 2**26 + (b >> 6), so
+    ``draw < p`` holds iff N < t, where t counts the N whose draw is < p.
+    t is found by bisection with that same test, so long rows decide as
+    short ones do for any p.  N's top byte, byte 3 of its 8, decides all
+    but the draws whose top byte is t >> 45 (1 in 256), and those are
+    compared in full.  Memory stays O(k) per row.
+
+    Shorter rows keep one ``random()`` call per draw.  A bulk row has a fixed
+    cost of about 1.5 us (the call, the table pass and the int conversion),
+    and on a 2-vCPU x86 host with CPython 3.11 the two loops cost the same
+    somewhere between 48 and 96 pairs for p from 0.01 to 0.8.
+    """
     if n < 1:
         raise ValueError("gnp needs n >= 1")
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"gnp needs 0 <= p <= 1, got {p}")
     if seed is None:
         raise ValueError("gnp requires a seed")
-    draw = random.Random(seed).random
+    rng = random.Random(seed)
     # The pairs are in range, loop-free and distinct by construction, so
     # the rows go straight to the trusted constructor: u's row above the
-    # diagonal is accumulated in one int, its bits below were set by the
+    # diagonal is built in one int, its bits below were set by the
     # earlier rows.
     rows = [0] * n
-    for u in range(n):
+    long_rows = range(n - _GNP_BULK_PAIRS)
+    if long_rows:
+        t = bisect_left(range(2**53), True, key=lambda N: not N / 2**53 < p)
+        top = t >> 45
+        # Each top byte's verdict: below top an edge, above it none, "?" open.
+        verdict = (b"1" * top + b"?" + b"0" * 255)[:256]
+    for u in long_rows:
+        k = n - 1 - u
+        raw = rng.getrandbits(64 * k).to_bytes(8 * k, "little")
+        flags = bytearray(raw[3::8].translate(verdict))
+        j = flags.find(b"?")
+        while j >= 0:
+            words = int.from_bytes(raw[8 * j : 8 * j + 8], "little")
+            draw_n = (words & 0xFFFFFFFF) >> 5 << 26 | words >> 38
+            flags[j] = b"01"[draw_n < t]
+            j = flags.find(b"?", j + 1)
+        above = int(flags[::-1], 2)
+        rows[u] |= above << (u + 1)
+        # Set u's bit in each neighbour's row, by serialize_graph's rule.
+        bit = 1 << u
+        if 32 * above.bit_count() < k:
+            j = flags.find(b"1")
+            while j >= 0:
+                rows[u + 1 + j] |= bit
+                j = flags.find(b"1", j + 1)
+        else:
+            for v in compress(range(u + 1, n), flags.translate(_FLAGS)):
+                rows[v] |= bit
+    draw = rng.random
+    for u in range(len(long_rows), n):
         above = 0
         bit = 1 << u
         for v in range(u + 1, n):

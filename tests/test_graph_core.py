@@ -1,7 +1,9 @@
 """Graph construction, families, the spec mini-language, and the text format."""
 
+import math
 import random
 import tracemalloc
+from decimal import Decimal
 
 import pytest
 
@@ -204,10 +206,71 @@ def _gnp_through_graph(n, p, seed):
 
 @pytest.mark.parametrize("p", [0.0, 0.01, 0.3, 0.5, 1.0])
 def test_gnp_rows_match_the_edge_list_construction(p):
-    for n in range(1, 41):
-        for seed in range(25):
+    # Rows of 64 pairs or more (n >= 65) read their draws in bulk.
+    for n in [*range(1, 41), 63, 64, 65, 66, 130, 300]:
+        for seed in range(25 if n < 100 else 4):
             got = gnp_graph(n, p, seed)
             assert got.adj_bits == _gnp_through_graph(n, p, seed).adj_bits, (n, seed)
+
+
+def test_gnp_bulk_words_are_the_draws():
+    # gnp_graph's long rows rest on this layout: random() is made from two
+    # consecutive 32-bit words a, b as ((a >> 5) * 2**26 + (b >> 6)) / 2**53,
+    # and getrandbits puts its first word in the lowest bits.
+    for seed in range(1000):
+        words = random.Random(seed).getrandbits(64)
+        a, b = words & 0xFFFFFFFF, words >> 32
+        assert ((a >> 5) * 2**26 + (b >> 6)) / 2**53 == random.Random(seed).random()
+
+
+def test_gnp_matches_at_the_top_byte_boundaries():
+    # A long row decides a draw from its top byte unless that byte is the
+    # one p falls in; p at j/256 and beside it moves that byte's edge.
+    ps = [-0.0, 5e-324, 1 - 2**-53]
+    for j in range(257):
+        ps += [math.nextafter(j / 256, 0), j / 256, math.nextafter(j / 256, 1)]
+    for p in ps:
+        got = gnp_graph(130, p, 2)
+        assert got.adj_bits == _gnp_through_graph(130, p, 2).adj_bits, p
+
+
+@pytest.mark.parametrize("u,v", [(0, 7), (3, 90), (100, 120)], ids=str)
+def test_gnp_draw_equal_to_p_is_no_edge(u, v):
+    # The one p at which < and <= differ is a draw of the stream itself.
+    # Row 0 and row 3 of G(130, p) read their draws in bulk, row 100 (29
+    # pairs) one by one.
+    n, seed = 130, 4
+    index = u * n - u * (u + 1) // 2 + (v - u - 1)
+    rng = random.Random(seed)
+    p = [rng.random() for _ in range(index + 1)][index]
+    got = gnp_graph(n, p, seed)
+    assert not got.has_edge(u, v)
+    assert got.adj_bits == _gnp_through_graph(n, p, seed).adj_bits
+
+
+def test_gnp_long_rows_compare_p_as_short_rows_do():
+    # A Decimal one digit past row 0's draw 7: its product with 2**53 rounds
+    # to the draw's own N at Decimal's 28 digits, yet draw < p holds.
+    rng = random.Random(2)
+    draw = [rng.random() for _ in range(8)][7]
+    p = Decimal(str(Decimal(draw)) + "1")
+    assert draw < p and math.ceil(p * 2**53) == draw * 2**53
+    got = gnp_graph(130, p, 2)
+    assert got.has_edge(0, 8)
+    assert got.adj_bits == _gnp_through_graph(130, p, 2).adj_bits
+
+
+def test_gnp_memory_stays_per_row():
+    # Each long row's draws take 8 bytes per pair while it is decided; one
+    # getrandbits for the whole graph would take 128 MiB here.
+    tracemalloc.start()
+    try:
+        g = gnp_graph(4000, 0.01, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert g.n == 4000
+    assert peak < 4 * 2**20
 
 
 # ---------------------------------------------------------------------------
