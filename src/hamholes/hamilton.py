@@ -15,6 +15,7 @@ spell out interval endpoints where off-by-one matters.
 
 from __future__ import annotations
 
+from itertools import islice
 from operator import itemgetter
 
 from hamholes._record import Record
@@ -300,19 +301,22 @@ def extract_certificate(p: PathState) -> HoleCertificate:
     return _self_checked(g, k, pairs, "extracted")
 
 
-def disconnected_certificate(g: Graph) -> HoleCertificate:
-    """Certificate k = delta+2 from the two lowest connected components.
+def disconnected_certificate(g: Graph) -> HoleCertificate | None:
+    """Certificate k = delta+2 from the two lowest connected components, or
+    None when g is connected.
 
     These are the two that components(g) returns: the component of vertex 0
     and that of the lowest vertex outside it.  Each has >= delta+1 vertices,
     so for each split i the i lowest vertices of the first and the
-    delta+2-i lowest of the second form a hole.
+    delta+2-i lowest of the second form a hole.  No split takes more than
+    k-1 vertices from a side, so only the k-1 lowest of each component are
+    walked: each _bits step scans the whole n-bit mask.
     """
     comps = components(g)
     if len(comps) < 2:
-        raise ValueError("graph is connected")
+        return None
     k = min_degree(g) + 2
-    first, second = list(_bits(comps[0])), list(_bits(comps[1]))
+    first, second = (list(islice(_bits(c), k - 1)) for c in comps)
     pairs = (
         BipartiteHole(tuple(first[:i]), tuple(second[: k - i]))
         for i in range(1, k // 2 + 1)
@@ -345,8 +349,9 @@ def reopen_cycle(c: CycleSeq) -> PathState:
 def find_hamilton(g: Graph) -> HamResult:
     """A spanning cycle, or a certificate that alpha_tilde(g) > min degree.
 
-    Disconnected graphs short-circuit to disconnected_certificate, built from
-    the two lowest components.  Otherwise: start from the lexicographically
+    disconnected_certificate is asked first: it makes the find's one
+    component search and answers a disconnected graph from its two lowest
+    components.  Otherwise: start from the lexicographically
     smallest edge and repeat extend / close / reopen.  Each iteration grows
     the path, so there are at most n iterations; closure failure on a maximal
     path terminates with the extracted certificate.  The certificate value
@@ -356,8 +361,9 @@ def find_hamilton(g: Graph) -> HamResult:
     """
     if g.n < 3:
         raise ValueError(f"find_hamilton needs n >= 3, got {g.n}")
-    if len(components(g)) > 1:
-        return HamResult(certificate=disconnected_certificate(g))
+    certificate = disconnected_certificate(g)
+    if certificate is not None:
+        return HamResult(certificate=certificate)
     v = (g.adj_bits[0] & -g.adj_bits[0]).bit_length() - 1
     p = PathState(g, (0, v))
     for _ in range(g.n + 1):

@@ -10,6 +10,7 @@ it is a polynomial-time proof that alpha_tilde(g) >= k.
 from __future__ import annotations
 
 import math
+from itertools import islice
 
 from hamholes import _kernels
 from hamholes._record import Record
@@ -77,7 +78,8 @@ def has_bipartite_hole(
     Enumerates candidate sets X of the smaller size a = min(s,t) in
     lexicographic order; a hole exists iff some X has
     |V \\ (X ∪ N(X))| >= max(s,t), and the returned witness pairs the first
-    such X with the lowest-labeled vertices of that remainder.
+    such X with the max(s,t) lowest-labeled vertices of that remainder, the
+    only ones walked: each _bits step scans the whole n-bit mask.
     """
     if s < 1 or t < 1:
         raise ValueError(f"hole sides must be positive, got ({s}, {t})")
@@ -87,11 +89,11 @@ def has_bipartite_hole(
     closed = xmask
     for v in _bits(xmask):
         closed |= g.adj_bits[v]
-    rest = list(_bits(((1 << g.n) - 1) & ~closed))
+    rest = tuple(islice(_bits(((1 << g.n) - 1) & ~closed), max(s, t)))
     xs = tuple(_bits(xmask))
     if s <= t:
-        return BipartiteHole(xs, tuple(rest[:t]))
-    return BipartiteHole(tuple(rest[:s]), xs)
+        return BipartiteHole(xs, rest)
+    return BipartiteHole(rest, xs)
 
 
 def alpha_tilde_at_least(g: Graph, k: int, budget: int = DEFAULT_BUDGET) -> bool:

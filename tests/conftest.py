@@ -2,6 +2,7 @@ import pytest
 
 from corpusutil import all_graphs
 from hamholes.errors import CertificateError
+from hamholes.graph import _bits
 from hamholes.holes import verify_certificate
 
 
@@ -26,3 +27,23 @@ def fail_checks_on(monkeypatch):
         monkeypatch.setattr("hamholes.holes.verify_certificate", check)
 
     return fail_on
+
+
+@pytest.fixture()
+def count_yields(monkeypatch):
+    """Call with a module name: from then on that module's _bits records
+    each walk, and the returned list holds how many bits each walk yielded."""
+
+    def count_in(module):
+        walks = []
+
+        def counting(mask):
+            walks.append(0)
+            for v in _bits(mask):
+                walks[-1] += 1
+                yield v
+
+        monkeypatch.setattr(f"{module}._bits", counting)
+        return walks
+
+    return count_in

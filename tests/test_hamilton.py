@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from corpusutil import random_graphs
+from hamholes.disjoint import find_edge_disjoint_hamilton
 from hamholes.errors import ContractViolationError, GraphFormatError
 from hamholes.graph import (
     Graph,
@@ -331,8 +332,7 @@ def test_disconnected_certificate():
     c = disconnected_certificate(g)
     assert c.k == min_degree(g) + 2 == 4
     assert verify_certificate(g, c) == 4
-    with pytest.raises(ValueError):
-        disconnected_certificate(complete_graph(4))
+    assert disconnected_certificate(complete_graph(4)) is None
     # With three components the holes come from the two lowest.
     c = disconnected_certificate(disjoint_union(g, complete_graph(3)))
     assert c.k == 4
@@ -342,10 +342,25 @@ def test_disconnected_certificate():
     ]
 
 
-def test_edgeless_graph_costs_two_component_searches():
+def _count_component_searches(monkeypatch):
+    """Wrap hamilton's components; each call appends how many components
+    (breadth-first searches) it returned."""
+    searches = []
+
+    def counting(g):
+        comps = components(g)
+        searches.append(len(comps))
+        return comps
+
+    monkeypatch.setattr("hamholes.hamilton.components", counting)
+    return searches
+
+
+def test_edgeless_graph_costs_two_component_searches(monkeypatch):
     # 50000 components, but the certificate reads only the two lowest; a
     # mask for every component would peak near 160 MiB.
     g = Graph(50_000)
+    searches = _count_component_searches(monkeypatch)
     tracemalloc.start()
     try:
         result = find_hamilton(g)
@@ -355,6 +370,46 @@ def test_edgeless_graph_costs_two_component_searches():
     assert result.certificate.k == 2
     assert [(h.s_side, h.t_side) for h in result.certificate.pairs] == [((0,), (1,))]
     assert peak < 2**20
+    assert searches == [2]
+    assert find_edge_disjoint_hamilton(g).cycles == ()
+    assert searches == [2, 2]
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        complete_graph(7),
+        petersen_graph(),
+        bipartite_graph(3, 5),
+        disjoint_union(cycle_graph(3000), complete_graph(4)),
+    ],
+    ids=["K7", "petersen", "K3,5", "C3000+K4"],
+)
+def test_each_find_searches_components_once(monkeypatch, g):
+    searches = _count_component_searches(monkeypatch)
+    find_hamilton(g)
+    assert len(searches) == 1
+    finds = []
+
+    def counting(h):
+        finds.append(h)
+        return find_hamilton(h)
+
+    monkeypatch.setattr("hamholes.disjoint.find_hamilton", counting)
+    find_edge_disjoint_hamilton(g)
+    assert len(searches) == 1 + len(finds)
+
+
+def test_disconnected_certificate_walks_only_what_it_keeps(count_yields):
+    g = disjoint_union(cycle_graph(3000), complete_graph(4))
+    walks = count_yields("hamholes.hamilton")
+    c = disconnected_certificate(g)
+    assert c.k == 4
+    assert [(h.s_side, h.t_side) for h in c.pairs] == [
+        ((0,), (3000, 3001, 3002)),
+        ((0, 1), (3000, 3001)),
+    ]
+    assert walks == [3, 3]
 
 
 def test_reopen_cycle_picks_lowest_attachment():

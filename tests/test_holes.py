@@ -22,6 +22,7 @@ from hamholes.graph import (
     disjoint_union,
     gnp_graph,
     min_degree,
+    path_graph,
     petersen_graph,
 )
 from hamholes.hamilton import (
@@ -64,6 +65,16 @@ def test_hole_witness_shape_and_validity():
     assert hole is not None
     assert len(hole.s_side) == 1 and len(hole.t_side) == 2
     assert _is_hole(g, hole.s_side, hole.t_side)
+
+
+@pytest.mark.parametrize(
+    "s, t, hole", [(1, 2, ((0,), (2, 3))), (2, 1, ((2, 3), (0,)))]
+)
+def test_hole_witness_walks_only_what_it_keeps(count_yields, s, t, hole):
+    walks = count_yields("hamholes.holes")
+    found = has_bipartite_hole(path_graph(3000), s, t)
+    assert (found.s_side, found.t_side) == hole
+    assert max(walks) <= max(s, t)
 
 
 def test_hole_none_when_sides_exceed_n():

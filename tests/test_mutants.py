@@ -1,6 +1,8 @@
 """The mutation catalogue stays applicable: every entry's text is in its file
 exactly once, so tests/tools/mutants.py can still make the mutation, and
-every test an entry names by ``path::name`` is still defined in that file."""
+every test an entry names by ``path::name`` is still defined in that file.
+README's list of expected survivors names exactly the entries that carry a
+``survivor`` reason."""
 
 import json
 import re
@@ -26,3 +28,11 @@ def test_mutant_applies_once(entry):
         assert (ROOT / path).is_file(), test
         for name in names:
             assert re.search(rf"^def {name}\(", (ROOT / path).read_text(), re.M), test
+
+
+def test_readme_lists_the_survivors():
+    readme = (ROOT / "README.md").read_text()
+    listed = re.search(r"carry a `survivor` reason\s*\(([^)]*)\)", readme)
+    assert listed, "README no longer lists the survivors"
+    names = set(re.findall(r"`([^`]+)`", listed.group(1)))
+    assert names == {e["name"] for e in ENTRIES if "survivor" in e}
