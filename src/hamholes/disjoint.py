@@ -65,7 +65,7 @@ def find_edge_disjoint_hamilton(g: Graph, r_cap: int | None = None) -> DisjointR
             # Rebind unchecked: it was checked against residual, a subgraph of g.
             c = result.cycle
             cycles.append(CycleSeq._trusted(g, c.order, c.mask))
-            residual = residual.remove_edges(c.edges())
+            residual = residual._remove_cycle(c.order)
             continue
         residual_cert = result.certificate
         # The cycles are edge-disjoint Hamilton cycles of g (each came off

@@ -101,6 +101,25 @@ class Graph:
             rows[v] &= ~(1 << u)
         return Graph._from_rows(self.n, rows)
 
+    def _remove_cycle(self, order) -> Graph:
+        """New graph without the edges of the cycle through ``order``.
+
+        ``order`` lists distinct vertices, as a cycle does; each vertex
+        loses its two cycle neighbours in one row update.  The pairs are
+        checked in the order of ``CycleSeq.edges()``, the wrap-around pair
+        first, so a missing edge raises the error that
+        ``remove_edges(c.edges())`` raises, on the same pair.
+        """
+        n, adj = self.n, self._adj
+        rows = list(adj)
+        before = order[-1:] + order[:-1]
+        after = order[1:] + order[:1]
+        for u, v, w in zip(before, order, after):
+            if not (0 <= u < n and 0 <= v < n) or not (adj[u] >> v) & 1:
+                raise ValueError(f"not an edge: ({u}, {v})")
+            rows[v] = adj[v] & ~(1 << u | 1 << w)
+        return Graph._from_rows(n, rows)
+
     def complement(self) -> Graph:
         full = (1 << self.n) - 1
         return Graph._from_rows(

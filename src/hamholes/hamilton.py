@@ -133,25 +133,36 @@ class HamResult(Record):
             raise ValueError("exactly one of cycle/certificate must be present")
 
 
+def _grow_end(adj: tuple[int, ...], v: int, free: int) -> tuple[list[int], int]:
+    """Attach the lowest-id free neighbor of the end v, then of the vertex
+    just attached, until the end is stuck; return the attached vertices in
+    that order and the mask of vertices still free."""
+    added = []
+    cand = adj[v] & free
+    while cand:
+        low = cand & -cand
+        v = low.bit_length() - 1
+        added.append(v)
+        free ^= low
+        cand = adj[v] & free
+    return added, free
+
+
 def extend_maximal(p: PathState) -> PathState:
     """Grow the path greedily until both endpoints have no outside neighbor.
 
-    At each step the front endpoint is tried first, then the back; the
-    lowest-id outside neighbor is attached.  The input path survives as a
-    contiguous subsequence of the output.
+    The front grows until it is stuck, then the back; each step attaches
+    the lowest-id outside neighbor of that end.  Vertices only ever leave
+    the outside set, so a stuck front stays stuck while the back grows:
+    this is the order of a loop that tries the front first at every step.
+    The input path survives as a contiguous subsequence of the output.
     """
-    order = list(p.order)
-    mask = p.mask
     adj = p.graph.adj_bits
-    while True:
-        at, cand = 0, adj[order[0]] & ~mask
-        if not cand:
-            at, cand = len(order), adj[order[-1]] & ~mask
-        if not cand:
-            return PathState._trusted(p.graph, tuple(order), mask)
-        w = (cand & -cand).bit_length() - 1
-        order.insert(at, w)
-        mask |= 1 << w
+    full = (1 << p.graph.n) - 1
+    front, free = _grow_end(adj, p.order[0], full ^ p.mask)
+    back, free = _grow_end(adj, p.order[-1], free)
+    order = (*front[::-1], *p.order, *back)
+    return PathState._trusted(p.graph, order, full ^ free)
 
 
 def _check_maximal(p: PathState, caller: str) -> None:
@@ -182,6 +193,11 @@ def _closure_masks(g: Graph, order: tuple[int, ...]) -> tuple[int, int]:
     return a_mask, b_mask
 
 
+# try_close scans positions j < _SCAN_POSITIONS on the rows before it builds
+# the closure masks; see its docstring for why 64.
+_SCAN_POSITIONS = 64
+
+
 def try_close(p: PathState) -> CycleSeq | None:
     """Close a maximal path into a cycle on the same vertex set, if possible.
 
@@ -198,16 +214,39 @@ def try_close(p: PathState) -> CycleSeq | None:
     - (c) crossing double flip: lexicographically least (i, j) with j < i,
       order[i] in N(f), order[j] in N(b), order[i+1] adjacent to order[j+1].
 
+    Cost.  (a) closes most rounds, usually at a small j, so the positions
+    j < _SCAN_POSITIONS are first tested one by one on the two endpoint
+    rows, and the first hit is returned.  Only past them are the two
+    position masks built (O(n) C-level string work each, see
+    _closure_masks); (a) is then one mask AND, which finds the same lowest
+    j, and (b) and (c) share one ascending pass over the N(f) positions at
+    O(n) big-int word operations per position.  A scanned position costs
+    two shifts of an n-bit row, and a closing the scan does not decide
+    pays for every position scanned, so the scan is bounded: unbounded, it
+    made a find on G(4000, 0.01) about 2x slower, for no closing there has
+    an (a) hit below position 197.  In a G(300, 0.8) extraction, 64
+    positions decide 80% of the closings; 32 decide 67% and 128 decide 91%,
+    and neither ran measurably faster than 64.
+
     Both endpoint neighborhoods lie on the path (maximality is required and
-    checked), so position masks realize every split at once.  Building the
-    two masks costs O(n) C-level string operations (see _closure_masks); (a)
-    is one mask AND, and (b) and (c) share one ascending pass over the N(f)
-    positions at O(n) big-int word operations per position.  The cycle is
+    checked), so position masks realize every split at once.  The cycle is
     built from a valid maximal path and not re-checked: each rewiring keeps
     the path's vertex set, so its mask is the path's.
     """
     _check_maximal(p, "try_close")
-    return _rewire(p, *_closure_masks(p.graph, p.order))
+    g, order = p.graph, p.order
+    front, back = g.adj_bits[order[0]], g.adj_bits[order[-1]]
+    for j, v in enumerate(order[1:_SCAN_POSITIONS], 1):
+        if front >> v & 1 and back >> order[j - 1] & 1:
+            return _single_flip(p, j)
+    return _rewire(p, *_closure_masks(g, order))
+
+
+def _single_flip(p: PathState, j: int) -> CycleSeq:
+    """The (a) cycle at position j: order[0], order[j..m-1], order[j-1..1]."""
+    order = p.order
+    cycle = (order[0],) + order[j:] + order[j - 1 : 0 : -1]
+    return CycleSeq._trusted(p.graph, cycle, p.mask)
 
 
 def _rewire(p: PathState, a_mask: int, b_mask: int) -> CycleSeq | None:
@@ -220,9 +259,7 @@ def _rewire(p: PathState, a_mask: int, b_mask: int) -> CycleSeq | None:
     # (a): j in A with j-1 in B.
     hit = (a_mask >> 1) & b_mask
     if hit:
-        j = (hit & -hit).bit_length()  # lowest j-1, plus one
-        cycle = (order[0],) + order[j:] + order[j - 1 : 0 : -1]
-        return CycleSeq._trusted(g, cycle, p.mask)
+        return _single_flip(p, (hit & -hit).bit_length())  # lowest j-1, plus one
 
     b_positions = list(_bits(b_mask))
 

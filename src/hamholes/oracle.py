@@ -172,10 +172,8 @@ def exists_edge_disjoint_hc_exact(
             if status == _kernels.OVER_BUDGET:
                 raise NodeBudgetExceeded
             return status == _kernels.FOUND
-        n = h.n
-        for order in hamilton_cycles(h.adj_bits, n, counter, budget):
-            cycle_edges = [(order[i - 1], order[i]) for i in range(n)]
-            if solve(h.remove_edges(cycle_edges), need - 1):
+        for order in hamilton_cycles(h.adj_bits, h.n, counter, budget):
+            if solve(h._remove_cycle(order), need - 1):
                 return True
         return False
 

@@ -4,6 +4,7 @@ import pytest
 
 from corpusutil import random_graphs
 from hamholes.graph import (
+    Graph,
     bipartite_graph,
     complete_graph,
     cycle_graph,
@@ -103,6 +104,28 @@ def test_residual_degree_invariant():
     for i, c in enumerate(res.cycles, start=1):
         h = h.remove_edges(c.edges())
         assert min_degree(h) >= delta - 2 * i
+
+
+def test_each_cycle_is_subtracted_by_its_order(monkeypatch):
+    # One _remove_cycle per extracted cycle, on that cycle's order, each on
+    # the residual that remove_edges(c.edges()) leaves round by round.
+    subtracted = []
+    remove_cycle = Graph._remove_cycle
+
+    def recorded(h, order):
+        subtracted.append((h, order))
+        return remove_cycle(h, order)
+
+    monkeypatch.setattr(Graph, "_remove_cycle", recorded)
+    g = gnp_graph(14, 0.85, seed=6)
+    res = find_edge_disjoint_hamilton(g)
+    assert len(res.cycles) >= 2
+    assert [order for _, order in subtracted] == [c.order for c in res.cycles]
+    h = g
+    for (seen, _), c in zip(subtracted, res.cycles):
+        assert seen == h
+        h = h.remove_edges(c.edges())
+    assert verify_certificate(h, res.residual_certificate)
 
 
 def test_determinism():

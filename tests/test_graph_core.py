@@ -115,6 +115,68 @@ def test_remove_edges():
         h.remove_edges([(0, 1)])
 
 
+def _random_cycle_graph(rng, n, k):
+    # A random graph on n vertices that holds a random k-cycle; the cycle's
+    # order starts anywhere.
+    order = rng.sample(range(n), k)
+    pairs = {frozenset(e) for e in zip(order, order[1:] + order[:1])}
+    pairs |= {
+        frozenset((u, v))
+        for u in range(n)
+        for v in range(u + 1, n)
+        if rng.random() < 0.4
+    }
+    return Graph(n, [tuple(e) for e in pairs]), order
+
+
+def _cycle_pairs(order):
+    # CycleSeq.edges(): the wrap-around pair first.
+    return [(order[i - 1], order[i]) for i in range(len(order))]
+
+
+def test_remove_cycle_equals_remove_edges():
+    rng = random.Random(34)
+    for _ in range(200):
+        n = rng.randrange(3, 40)
+        g, order = _random_cycle_graph(rng, n, rng.randrange(3, n + 1))
+        h = g._remove_cycle(order)
+        assert h == g.remove_edges(_cycle_pairs(order))
+        assert h.m == g.m - len(order)
+        assert g._remove_cycle(tuple(order)) == h
+
+
+@pytest.mark.parametrize("missing", [0, 1, 2, -1])
+def test_remove_cycle_refuses_a_missing_edge_as_remove_edges_does(missing):
+    # The missing pair is the wrap-around pair (0), the pair after it (1),
+    # a middle pair or the last one; a second missing pair further on
+    # must not be the one named.
+    rng = random.Random(missing)
+    for _ in range(20):
+        n = rng.randrange(5, 30)
+        g, order = _random_cycle_graph(rng, n, rng.randrange(5, n + 1))
+        pairs = _cycle_pairs(order)
+        gone = [pairs[missing]]
+        if missing != -1:
+            gone.append(pairs[-1])
+        h = g.remove_edges(gone)
+        with pytest.raises(ValueError) as want:
+            h.remove_edges(pairs)
+        with pytest.raises(ValueError) as got:
+            h._remove_cycle(order)
+        u, v = pairs[missing]
+        assert str(got.value) == str(want.value) == f"not an edge: ({u}, {v})"
+
+
+def test_remove_cycle_refuses_out_of_range_vertices():
+    g = complete_graph(4)
+    for order in [(0, 1, 4), (0, 4, 1), (-1, 0, 1)]:
+        with pytest.raises(ValueError) as want:
+            g.remove_edges(_cycle_pairs(order))
+        with pytest.raises(ValueError) as got:
+            g._remove_cycle(order)
+        assert str(got.value) == str(want.value)
+
+
 def test_components_and_min_degree():
     g = Graph(5, [(3, 4), (0, 1)])
     # Only the two lowest components: those of 0 and of 2, not that of 3.

@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from corpusutil import random_graphs
+from hamholes import hamilton
 from hamholes.disjoint import find_edge_disjoint_hamilton
 from hamholes.errors import ContractViolationError, GraphFormatError
 from hamholes.graph import (
@@ -17,14 +18,17 @@ from hamholes.graph import (
     components,
     cycle_graph,
     disjoint_union,
+    gnp_graph,
     min_degree,
     path_graph,
     petersen_graph,
 )
 from hamholes.hamilton import (
+    _SCAN_POSITIONS,
     CycleSeq,
     PathState,
     _closure_masks,
+    _rewire,
     disconnected_certificate,
     extend_maximal,
     extract_certificate,
@@ -117,6 +121,51 @@ def test_extend_maximal_is_deterministic():
         ends_front = set(g.neighbors(a.order[0])) - set(a.order)
         ends_back = set(g.neighbors(a.order[-1])) - set(a.order)
         assert not ends_front and not ends_back
+
+
+def _extend_step_by_step(p):
+    # The extension as a loop that tries the front first at every step.
+    order, mask, adj = list(p.order), p.mask, p.graph.adj_bits
+    while True:
+        at, cand = 0, adj[order[0]] & ~mask
+        if not cand:
+            at, cand = len(order), adj[order[-1]] & ~mask
+        if not cand:
+            return tuple(order)
+        w = (cand & -cand).bit_length() - 1
+        order.insert(at, w)
+        mask |= 1 << w
+
+
+def _random_path(g, rng):
+    # A random simple path of g with at least one edge, or None.
+    if g.m == 0:
+        return None
+    u, v = rng.choice(list(g.edges()))
+    order = [u, v]
+    for _ in range(rng.randrange(g.n)):
+        outside = [w for w in g.neighbors(order[-1]) if w not in order]
+        if not outside:
+            break
+        order.append(rng.choice(outside))
+    return PathState(g, order)
+
+
+def test_extend_maximal_matches_the_step_by_step_loop():
+    rng = random.Random(34)
+    graphs = random_graphs(9, 40, seed=34) + random_graphs(30, 40, seed=35)
+    already_maximal = 0
+    for g in graphs:
+        for _ in range(3):
+            p = _random_path(g, rng)
+            if p is None:
+                continue
+            q = extend_maximal(p)
+            assert q.order == _extend_step_by_step(p)
+            assert q.mask == sum(1 << v for v in q.order)
+            assert extend_maximal(q) == q and _extend_step_by_step(q) == q.order
+            already_maximal += q == p
+    assert already_maximal > 5
 
 
 def test_try_close_direct_case():
@@ -277,6 +326,69 @@ def test_try_close_returns_the_first_flip_cycle():
     assert seen["a"] > 100 and seen[None] > 100
 
 
+def _path_with_first_flip_at(n, j_first, seed):
+    # A spanning path 0..n-1, relabelled at random, of a random graph from
+    # which every single flip below j_first (all of them when j_first is
+    # None) is removed and the flip at j_first added; f = 0 and b = n - 1.
+    # A flip at j needs j in N(f) and j - 1 in N(b); one of the two edges
+    # goes, at random, so both ends keep neighbours for (b) and (c).
+    rng = random.Random(seed)
+    b = n - 1
+    adjacent = {(u, u + 1) for u in range(b)}
+    density = rng.choice([0.01, 0.3])
+    adjacent |= {
+        (u, v) for u in range(n) for v in range(u + 2, n) if rng.random() < density
+    }
+    adjacent.discard((0, b))  # the flips at j = 1 and j = b
+    for j in range(2, b if j_first is None else j_first):
+        adjacent.discard(rng.choice([(0, j), (j - 1, b)]))
+    if j_first is not None:
+        adjacent |= {(0, j_first), (j_first - 1, b)}
+    label = rng.sample(range(n), n)
+    g = Graph(n, [(label[u], label[v]) for u, v in adjacent])
+    return PathState(g, [label[q] for q in range(n)])
+
+
+@pytest.mark.parametrize(
+    "j_first",
+    [2, _SCAN_POSITIONS - 1, _SCAN_POSITIONS, _SCAN_POSITIONS + 1, None],
+    ids=["low", "below-bound", "at-bound", "past-bound", "none"],
+)
+def test_scan_agrees_with_the_masks_around_its_bound(monkeypatch, j_first):
+    # Paths whose lowest single flip lies below the scan's bound, at it,
+    # just past it and nowhere: try_close's cycle is the brute-force first
+    # flip and the masks' own, and only a flip at or past the bound (or
+    # none) is left to the masks.
+    built = []
+
+    def counted_masks(g, order):
+        built.append(order)
+        return _closure_masks(g, order)
+
+    monkeypatch.setattr(hamilton, "_closure_masks", counted_masks)
+    cases = []
+    for seed in range(12):
+        p = _path_with_first_flip_at(_SCAN_POSITIONS + 8, j_first, seed)
+        g = p.graph
+        case, _, positions = _first_flip(g, p.order)
+        if j_first is not None:
+            assert case == "a" and positions[1] == j_first
+        else:
+            assert case != "a"
+        built.clear()
+        c = try_close(p)
+        scanned = j_first is not None and j_first < _SCAN_POSITIONS
+        assert built == ([] if scanned else [p.order])
+        assert c == _rewire(p, *_closure_masks(g, p.order))
+        if case is None:
+            assert c is None
+        else:
+            assert c.order == CycleSeq(g, [p.order[q] for q in positions]).order
+        cases.append(case)
+    if j_first is None:  # the masks' other rewirings get to run
+        assert "b" in cases and None in cases
+
+
 # ---------------------------------------------------------------------------
 # certificates from stuck states
 
@@ -325,6 +437,50 @@ def test_each_round_closes_once(monkeypatch):
             certificates += 1
     assert certificates
     assert calls.count("close") == calls.count("extend")
+
+
+def _count_closing_work(monkeypatch):
+    # Calls of try_close, of _closure_masks (from try_close past its scan,
+    # and from extract_certificate) and of extract_certificate.
+    calls = {"try_close": 0, "_closure_masks": 0, "extract_certificate": 0}
+
+    def counted(name):
+        fn = getattr(hamilton, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(hamilton, name, counted(name))
+    return calls
+
+
+@pytest.mark.parametrize(
+    "run, closings, masks, extracted",
+    [
+        # 108 cycles, then a component certificate: 2430 closings are
+        # decided by the scan and 589 by the masks.
+        (lambda: find_edge_disjoint_hamilton(gnp_graph(300, 0.8, 5)), 3019, 589, 0),
+        # A spanning cycle; no closing has a single flip below position 197.
+        (lambda: find_hamilton(gnp_graph(4000, 0.01, 7)), 63, 63, 0),
+        # A stuck path: its closing and its extraction each build the masks.
+        (lambda: find_hamilton(bipartite_graph(300, 400)), 1, 2, 1),
+    ],
+    ids=["gnp300-extraction", "gnp4000-find", "k300-400-find"],
+)
+def test_closing_work_counts(monkeypatch, run, closings, masks, extracted):
+    # Pinned work on the benchmark's graphs, so that a closing that skips
+    # the scan, or a scan that decides less, fails here.
+    calls = _count_closing_work(monkeypatch)
+    run()
+    assert calls == {
+        "try_close": closings,
+        "_closure_masks": masks,
+        "extract_certificate": extracted,
+    }
 
 
 def test_disconnected_certificate():

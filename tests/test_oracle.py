@@ -68,6 +68,25 @@ def test_edge_disjoint_known():
         exists_edge_disjoint_hc_exact(complete_graph(5), 0)
 
 
+def test_edge_disjoint_search_subtracts_each_cycle_by_its_order(monkeypatch):
+    # Each Hamilton cycle the outer levels try is subtracted through
+    # _remove_cycle, which leaves what remove_edges leaves.
+    calls = []
+    remove_cycle = Graph._remove_cycle
+
+    def checked(h, order):
+        calls.append(order)
+        pairs = [(order[i - 1], order[i]) for i in range(len(order))]
+        assert len(order) == h.n and remove_cycle(h, order) == h.remove_edges(pairs)
+        return remove_cycle(h, order)
+
+    monkeypatch.setattr(Graph, "_remove_cycle", checked)
+    assert exists_edge_disjoint_hc_exact(complete_graph(7), 3) is True
+    assert exists_edge_disjoint_hc_exact(petersen_graph(), 2) is False
+    assert exists_edge_disjoint_hc_exact(complete_graph(5), 3) is False
+    assert len(calls) >= 2
+
+
 # ---------------------------------------------------------------------------
 # structural cross-checks
 

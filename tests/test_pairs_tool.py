@@ -1,0 +1,61 @@
+"""tests/tools/pairs.py: its summary reproduces the committed BENCH files,
+and its schedule alternates which side runs first.  No benchmark runs."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+_spec = importlib.util.spec_from_file_location(
+    "pairs", ROOT / "tests" / "tools" / "pairs.py"
+)
+pairs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(pairs)
+METRICS = {
+    m["name"]: m["better"]
+    for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+}
+
+
+def test_summary_of_bench_11_peel():
+    bench = json.loads((ROOT / "BENCH_11.json").read_text())
+    summary = pairs.summarize(bench["workloads"]["peel"]["pairs"], METRICS)
+    assert summary["session_cal"] == {
+        "parent": {"median": 17.087, "q1": 16.4857, "q3": 18.8864},
+        "change": {"median": 14.0301, "q1": 13.3055, "q3": 14.5118},
+        "change_better_pairs": 10,
+        "median_change": -0.1789,
+    }
+
+
+@pytest.mark.parametrize("name", ["BENCH_11.json", "BENCH_12.json", "BENCH_14.json"])
+def test_summary_reproduces_committed_files(name):
+    bench = json.loads((ROOT / name).read_text())
+    for workload in bench["workloads"].values():
+        assert pairs.summarize(workload["pairs"], METRICS) == workload["summary"]
+
+
+def test_seeds_and_schedule():
+    assert pairs.parse_seeds("4101-4104") == [4101, 4102, 4103, 4104]
+    assert pairs.parse_seeds("7,9") == [7, 9]
+    plan = pairs.schedule({"peel": [1, 2, 3], "dense": [7, 9]})
+    assert plan == [
+        ("peel", 1, ("parent", "change")),
+        ("peel", 2, ("change", "parent")),
+        ("peel", 3, ("parent", "change")),
+        ("dense", 7, ("parent", "change")),
+        ("dense", 9, ("change", "parent")),
+    ]
+
+
+def test_dry_run_prints_the_schedule_and_runs_nothing(capsys, tmp_path):
+    out = tmp_path / "BENCH.json"
+    argv = ["no-such-ref", "no-such-ref", "--seeds", "peel=1-2", "--out", str(out)]
+    assert pairs.main([*argv, "--dry-run"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "  0 peel   seed 1: parent then change",
+        "  1 peel   seed 2: change then parent",
+    ]
+    assert not out.exists()
