@@ -13,7 +13,7 @@ from bisect import bisect_left
 from collections import deque
 from collections.abc import Iterable
 from itertools import compress, repeat
-from operator import index, setitem
+from operator import index, lshift, setitem
 
 from hamholes.errors import GraphFormatError
 
@@ -102,23 +102,34 @@ class Graph:
         return Graph._from_rows(self.n, rows)
 
     def _remove_cycle(self, order) -> Graph:
-        """New graph without the edges of the cycle through ``order``.
+        """New graph without the edges of the cycle through ``order``: the
+        result, or the error, of ``remove_edges`` on the pairs
+        (order[i - 1], order[i]) of ``CycleSeq.edges()``, wrap-around first.
 
-        ``order`` lists distinct vertices, as a cycle does; each vertex
-        loses its two cycle neighbours in one row update.  The pairs are
-        checked in the order of ``CycleSeq.edges()``, the wrap-around pair
-        first, so a missing edge raises the error that
-        ``remove_edges(c.edges())`` raises, on the same pair.
+        Cost: one shift per vertex makes its single-bit int; then each
+        vertex v costs one test of its row for the vertex u before it (the
+        rows are symmetric) and one row update that drops u and the vertex w
+        after it.  With every id in range and every pair an edge, the update
+        is exact when the vertices are distinct, and only then does the
+        graph lose len(order) edges: a repeated vertex keeps the row of its
+        last visit, so fewer go.  Any other sequence (an id out of range, a
+        missing pair, a repeat) is handed to remove_edges, which raises its
+        error on the same first pair or returns its graph.
         """
-        n, adj = self.n, self._adj
-        rows = list(adj)
-        before = order[-1:] + order[:-1]
-        after = order[1:] + order[:1]
-        for u, v, w in zip(before, order, after):
-            if not (0 <= u < n and 0 <= v < n) or not (adj[u] >> v) & 1:
-                raise ValueError(f"not an edge: ({u}, {v})")
-            rows[v] = adj[v] & ~(1 << u | 1 << w)
-        return Graph._from_rows(n, rows)
+        adj = self._adj
+        if order and 0 <= min(order) and max(order) < self.n:
+            rows = list(adj)
+            bits = list(map(lshift, repeat(1), order))
+            before, after = bits[-1:] + bits[:-1], bits[1:] + bits[:1]
+            for bit_u, v, bit_w in zip(before, order, after):
+                if not adj[v] & bit_u:
+                    break
+                rows[v] = adj[v] ^ (bit_u | bit_w)
+            else:
+                g = Graph._from_rows(self.n, rows)
+                if g.m == self.m - len(order):
+                    return g
+        return self.remove_edges(zip(order[-1:] + order[:-1], order))
 
     def complement(self) -> Graph:
         full = (1 << self.n) - 1
@@ -186,7 +197,12 @@ def min_degree(g: Graph) -> int:
 
 
 def components(g: Graph) -> list[int]:
-    """Masks of the components of vertex 0 and of the lowest vertex outside it."""
+    """Masks of the components of vertex 0 and of the lowest vertex outside it.
+
+    A level of the breadth-first search stops as soon as the component
+    spans every unseen vertex: the rest of its frontier can add none.  On
+    a dense graph each level then walks one row.
+    """
     out: list[int] = []
     unseen = (1 << g.n) - 1
     adj = g.adj_bits
@@ -196,6 +212,8 @@ def components(g: Graph) -> list[int]:
             grow = 0
             for v in _bits(frontier):
                 grow |= adj[v]
+                if grow | comp == unseen:
+                    break
             frontier = grow & ~comp
             comp |= frontier
         out.append(comp)

@@ -32,25 +32,26 @@ class _VertexSeq:
     __slots__ = ("graph", "order", "mask")
 
     @staticmethod
-    def _normal(order: tuple[int, ...]) -> tuple[int, ...]:
+    def _normal(order: tuple[int, ...], mask: int) -> tuple[int, ...]:
         return order
 
     def _set_checked(self, graph: Graph, order, kind: str, pair_name: str, pairs):
         """Check range, then repeats, then each (u, v) of ``pairs`` for
         adjacency, raising ValueError on the first failure; then store."""
         mask = _vertex_mask(order, graph.n, kind)
+        adj = graph.adj_bits
         for u, v in pairs:
-            if not (graph.adj_bits[u] >> v) & 1:
+            if not (adj[u] >> v) & 1:
                 raise ValueError(f"{pair_name} {u}, {v} not adjacent")
         self.graph = graph
-        self.order = self._normal(order)
+        self.order = self._normal(order, mask)
         self.mask = mask
 
     @classmethod
     def _trusted(cls, graph: Graph, order: tuple[int, ...], mask: int):
         seq = object.__new__(cls)
         seq.graph = graph
-        seq.order = cls._normal(order)
+        seq.order = cls._normal(order, mask)
         seq.mask = mask
         return seq
 
@@ -90,7 +91,9 @@ class CycleSeq(_VertexSeq):
 
     The stored order is canonical -- it starts at the lowest vertex and runs
     toward that vertex's smaller-id neighbor -- so equal cycles compare equal
-    no matter which rotation or direction they were built from.
+    no matter which rotation or direction they were built from.  The lowest
+    vertex is read from the membership mask, the lowest set bit, not found
+    by a pass over the order.
 
     ``CycleSeq(graph, order)`` checks every vertex and every adjacency (the
     wrap-around pair first) and raises ValueError on a bad cycle; it is the
@@ -102,8 +105,8 @@ class CycleSeq(_VertexSeq):
     __slots__ = ()
 
     @staticmethod
-    def _normal(order: tuple[int, ...]) -> tuple[int, ...]:
-        i = order.index(min(order))
+    def _normal(order: tuple[int, ...], mask: int) -> tuple[int, ...]:
+        i = order.index((mask & -mask).bit_length() - 1)
         if order[(i + 1) % len(order)] <= order[i - 1]:
             return order[i:] + order[:i]
         return order[i::-1] + order[:i:-1]
@@ -155,12 +158,15 @@ def extend_maximal(p: PathState) -> PathState:
     the lowest-id outside neighbor of that end.  Vertices only ever leave
     the outside set, so a stuck front stays stuck while the back grows:
     this is the order of a loop that tries the front first at every step.
-    The input path survives as a contiguous subsequence of the output.
+    The input path survives as a contiguous subsequence of the output; a
+    path stuck at both ends is returned itself.
     """
     adj = p.graph.adj_bits
     full = (1 << p.graph.n) - 1
     front, free = _grow_end(adj, p.order[0], full ^ p.mask)
     back, free = _grow_end(adj, p.order[-1], free)
+    if not front and not back:
+        return p
     order = (*front[::-1], *p.order, *back)
     return PathState._trusted(p.graph, order, full ^ free)
 

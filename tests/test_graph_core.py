@@ -6,6 +6,8 @@ import tracemalloc
 from decimal import Decimal
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from corpusutil import random_graphs, to_nx
 from hamholes import graph as graph_module
@@ -177,6 +179,91 @@ def test_remove_cycle_refuses_out_of_range_vertices():
         assert str(got.value) == str(want.value)
 
 
+def _outcome(call):
+    # The returned graph, or the message of the ValueError raised.
+    try:
+        return call()
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+@st.composite
+def cycle_sequences(draw):
+    # A graph on n vertices holding the cycle through a random sequence of
+    # distinct ids, plus random edges; then, by choice, one cycle pair
+    # removed, one vertex repeated, or one id moved out of range.
+    n = draw(st.integers(1, 12))
+    order = draw(st.permutations(range(n)))[: draw(st.integers(1, n))]
+    pairs = {frozenset(e) for e in zip(order[-1:] + order[:-1], order)}
+    pairs = {e for e in pairs if len(e) == 2}
+    extra = draw(st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))))
+    pairs |= {frozenset(e) for e in extra if e[0] != e[1]}
+    g = Graph(n, [tuple(e) for e in pairs])
+    flaw = draw(st.sampled_from(["none", "missing", "repeat", "range"]))
+    i = draw(st.integers(0, len(order) - 1))
+    if flaw == "missing" and len(order) >= 3:
+        g = g.remove_edges([(order[i - 1], order[i])])
+    elif flaw == "repeat":
+        order.insert(draw(st.integers(0, len(order))), order[i])
+    elif flaw == "range":
+        order[i] = draw(st.sampled_from([-2, -1, n, n + 5]))
+    return g, order
+
+
+@settings(max_examples=300, deadline=None)
+@given(cycle_sequences())
+@example((complete_graph(4), [0, 1, 2]))  # a valid cycle
+@example((complete_graph(4), [0, 1, 2, 1]))  # a repeat whose pair repeats
+@example((complete_graph(5), [0, 1, 2, 0, 3, 4]))  # a figure eight
+@example((complete_graph(3), [1]))  # length 1: the pair (1, 1)
+@example((complete_graph(3), [1, 2]))  # length 2: the edge twice
+@example((complete_graph(3), [0, -1, 1]))
+@example((complete_graph(3), [0, 1, 3]))
+def test_remove_cycle_is_remove_edges_on_any_sequence(case):
+    # The same graph, or the same error on the same first pair, as
+    # remove_edges on the pairs of CycleSeq.edges(), wrap-around first.
+    g, order = case
+    want = _outcome(lambda: g.remove_edges(_cycle_pairs(order)))
+    assert _outcome(lambda: g._remove_cycle(order)) == want
+    assert _outcome(lambda: g._remove_cycle(tuple(order))) == want
+
+
+def _count_subtraction_work(monkeypatch):
+    # Graphs built (Graph._from_rows) and remove_edges calls.
+    calls = {"_from_rows": 0, "remove_edges": 0}
+    from_rows, remove_edges = Graph._from_rows, Graph.remove_edges
+
+    def counted_rows(cls, n, rows):
+        calls["_from_rows"] += 1
+        return from_rows(n, rows)
+
+    def counted_remove(self, pairs):
+        calls["remove_edges"] += 1
+        return remove_edges(self, pairs)
+
+    monkeypatch.setattr(Graph, "_from_rows", classmethod(counted_rows))
+    monkeypatch.setattr(Graph, "remove_edges", counted_remove)
+    return calls
+
+
+def test_remove_cycle_hands_over_only_what_it_cannot_subtract(monkeypatch):
+    # A cycle costs one graph and no remove_edges; a missing pair stops
+    # the row updates before any graph is built; a repeat builds a graph
+    # that loses too few edges, and remove_edges answers.
+    g = complete_graph(6)
+    h = g.remove_edges([(2, 4)])
+    calls = _count_subtraction_work(monkeypatch)
+    g._remove_cycle((0, 2, 4, 1))
+    assert calls == {"_from_rows": 1, "remove_edges": 0}
+    calls.update(dict.fromkeys(calls, 0))
+    with pytest.raises(ValueError, match=r"^not an edge: \(2, 4\)$"):
+        h._remove_cycle((0, 2, 4, 1))
+    assert calls == {"_from_rows": 0, "remove_edges": 1}
+    calls.update(dict.fromkeys(calls, 0))
+    assert g._remove_cycle((0, 1, 2, 0, 3, 4)).m == g.m - 6
+    assert calls == {"_from_rows": 2, "remove_edges": 1}
+
+
 def test_components_and_min_degree():
     g = Graph(5, [(3, 4), (0, 1)])
     # Only the two lowest components: those of 0 and of 2, not that of 3.
@@ -201,6 +288,20 @@ def test_components_match_networkx(corpus_upto5):
         comps = sorted(sorted(c) for c in nx.connected_components(h))
         assert [list(_bits(mask)) for mask in masks] == comps[:2], g
         assert (len(masks) == 1) == nx.is_connected(h), g
+
+
+def test_components_stop_a_level_once_they_span(count_yields):
+    # Vertex 0's row spans K50, and so does the first row of the next
+    # level: each level walks one vertex, where a full level walks 49.
+    walks = count_yields("hamholes.graph")
+    assert components(complete_graph(50)) == [2**50 - 1]
+    assert walks == [1, 1]
+    # Vertex 0's K5 never spans the graph, so its second level walks all
+    # four; the K4 spans what is left, and its levels walk one vertex each.
+    walks.clear()
+    g = disjoint_union(complete_graph(5), complete_graph(4))
+    assert components(g) == [0b11111, 0b1111 << 5]
+    assert walks == [1, 4, 1, 1]
 
 
 def test_disjoint_union():

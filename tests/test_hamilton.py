@@ -77,6 +77,40 @@ def test_cycle_seq_validation_and_canonical_form():
         CycleSeq(complete_graph(4), (0, 1))
 
 
+def _min_normal(order):
+    # The canonical order by its definition: start at min(order) and run
+    # toward its smaller-id neighbour.
+    i = order.index(min(order))
+    if order[(i + 1) % len(order)] <= order[i - 1]:
+        return order[i:] + order[:i]
+    return order[i::-1] + order[:i:-1]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    ids=st.lists(st.integers(0, 40), min_size=3, max_size=25, unique=True),
+    shift=st.integers(0, 24),
+    backwards=st.booleans(),
+)
+@example(ids=[0, 5, 3], shift=0, backwards=False)  # lowest vertex first
+@example(ids=[5, 3, 0], shift=0, backwards=False)  # lowest vertex last
+@example(ids=[7, 2, 9, 4], shift=1, backwards=True)
+def test_canonical_order_starts_at_the_lowest_vertex(ids, shift, backwards):
+    # Any rotation, either direction: both constructors store the order
+    # the min()-based definition gives, though they read the start off the
+    # mask.
+    g = Graph(max(ids) + 1, zip(ids, ids[1:] + ids[:1]))
+    shift %= len(ids)
+    order = tuple(ids[shift:] + ids[:shift])
+    if backwards:
+        order = order[::-1]
+    want = _min_normal(order)
+    assert CycleSeq(g, order).order == want
+    mask = sum(1 << v for v in order)
+    assert CycleSeq._trusted(g, order, mask).order == want
+    assert PathState(g, order).order == order
+
+
 def test_path_and_cycle_on_the_same_order_differ():
     g = complete_graph(4)
     p, c = PathState(g, (0, 1, 2)), CycleSeq(g, (0, 1, 2))
@@ -166,6 +200,23 @@ def test_extend_maximal_matches_the_step_by_step_loop():
             assert extend_maximal(q) == q and _extend_step_by_step(q) == q.order
             already_maximal += q == p
     assert already_maximal > 5
+
+
+def test_extend_maximal_returns_a_stuck_path_itself():
+    # A path stuck at both ends comes back as the same object; one that
+    # grows comes back new.
+    rng = random.Random(35)
+    grown = 0
+    for g in random_graphs(12, 40, seed=36):
+        p = _random_path(g, rng)
+        if p is None:
+            continue
+        q = extend_maximal(p)
+        assert extend_maximal(q) is q
+        if q.order != p.order:
+            grown += 1
+            assert q is not p
+    assert grown > 5
 
 
 def test_try_close_direct_case():
@@ -481,6 +532,27 @@ def test_closing_work_counts(monkeypatch, run, closings, masks, extracted):
         "_closure_masks": masks,
         "extract_certificate": extracted,
     }
+
+
+def test_extraction_work_in_components_and_extension(monkeypatch, count_yields):
+    # G(300, 0.8, seed 5)'s extraction: 109 finds, one component search
+    # each.  A level stops once its component spans, so the searches walk
+    # 9139 vertices in all (32700 with whole levels), and 1372 of the 3019
+    # extensions find the path stuck at both ends and return it as it is.
+    g = gnp_graph(300, 0.8, 5)
+    walks = count_yields("hamholes.graph")
+    calls = {"extend": 0, "stuck": 0}
+
+    def counting(p):
+        q = extend_maximal(p)
+        calls["extend"] += 1
+        calls["stuck"] += q is p
+        return q
+
+    monkeypatch.setattr(hamilton, "extend_maximal", counting)
+    assert len(find_edge_disjoint_hamilton(g).cycles) == 108
+    assert sum(walks) == 9139
+    assert calls == {"extend": 3019, "stuck": 1372}
 
 
 def test_disconnected_certificate():
