@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from hamholes._kernels._pure import (
     FOUND,
-    OVER_BUDGET,
     hamilton_cycle_search,
     hole_search,
     independence_number,

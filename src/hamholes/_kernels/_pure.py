@@ -11,20 +11,16 @@ cycle.  Every kernel keeps its search path on an explicit stack, so no
 recursion limit caps the graphs it can search.
 
 All kernels take adjacency as a sequence of per-vertex neighbor bitmasks
-(``adj[v] >> u & 1`` iff ``uv`` is an edge).  Status codes follow one
-convention: 0 = answer found / computed, 1 = search space exhausted,
-2 = node budget exceeded.
+(``adj[v] >> u & 1`` iff ``uv`` is an edge).  The Hamilton and independence
+searches count node expansions in a local int, settled with the caller's
+``errors._Budget`` before each yield, at exhaustion and where they pass it;
+their status is FOUND (0, answer found) or EXHAUSTED (1, none exists).
 """
 
 from __future__ import annotations
 
 FOUND = 0
 EXHAUSTED = 1
-OVER_BUDGET = 2
-
-
-class NodeBudgetExceeded(Exception):
-    """A search expanded more nodes than its budget allows."""
 
 
 def hole_search(adj, n: int, a: int, b: int):
@@ -63,29 +59,32 @@ def hole_search(adj, n: int, a: int, b: int):
         start, xmask, rest = v + 1, xmask | 1 << v, left
 
 
-def hamilton_cycles(adj, n: int, counter: list[int], max_nodes: int):
+def hamilton_cycles(adj, n: int, budget):
     """Yield every Hamilton cycle of the graph exactly once.
 
     Each cycle is a vertex list starting at 0 with ``order[1] < order[-1]``,
     which drops its reversal.  Depth-first from vertex 0 with an explicit
     stack, neighbors in ascending order; a prefix is cut when some unvisited
     vertex has fewer than two neighbors left to close the cycle through.
-    Each node expansion adds one to ``counter[0]``, which callers may share
-    across searches; NodeBudgetExceeded is raised once it passes max_nodes.
+    Each node expansion is one probe of ``budget``, which callers may share
+    across searches: it is settled before each yield and re-read after it.
     """
     full = (1 << n) - 1
     path = [0]
     untried = []  # untried[i]: neighbors of path[i] still to try after path[i + 1]
     visited = 1
     cur = 0
+    nodes, left = 0, budget.limit - budget.used
     while True:
-        counter[0] += 1
-        if counter[0] > max_nodes:
-            raise NodeBudgetExceeded
+        nodes += 1
+        if nodes > left:
+            budget.charge(nodes)  # passes the limit, so it raises
         cand = 0
         if len(path) == n:
             if adj[cur] & 1 and path[1] < path[-1]:
+                budget.charge(nodes)
                 yield list(path)
+                nodes, left = 0, budget.limit - budget.used
         else:
             # Every unvisited vertex still needs two cycle neighbors, all of
             # which lie among the other unvisited vertices, `cur` and vertex 0.
@@ -101,6 +100,7 @@ def hamilton_cycles(adj, n: int, counter: list[int], max_nodes: int):
                 cand = adj[cur] & rest
         while not cand:
             if len(path) == 1:
+                budget.charge(nodes)
                 return
             visited ^= 1 << path.pop()
             cand = untried.pop()
@@ -111,47 +111,43 @@ def hamilton_cycles(adj, n: int, counter: list[int], max_nodes: int):
         visited |= low
 
 
-def hamilton_cycle_search(adj, n: int, max_nodes: int):
+def hamilton_cycle_search(adj, n: int, budget):
     """The first cycle hamilton_cycles yields, with the nodes it took.
 
     Returns (status, order, nodes): ``order`` is the found cycle as a vertex
     list starting at 0 (None unless status == FOUND), ``nodes`` the number of
-    search nodes expanded.  It needs n >= 1.  Filtering out trivial
-    rejections first (n < 3, minimum degree < 2, disconnected) saves time
-    but is not needed for correctness: the search is exhaustive, and the
-    edge-disjoint oracle's last level filters on degree only.
+    search nodes expanded and charged to ``budget``.  It needs n >= 1.
+    Filtering out trivial rejections first (n < 3, minimum degree < 2,
+    disconnected) saves time but is not needed for correctness: the search
+    is exhaustive, and the edge-disjoint oracle's last level filters on
+    degree only.
     The first yield is also the first cycle the search closes: the prune
     never cuts a prefix of a Hamilton cycle, so a cycle with
     order[-1] < order[1] would have been closed earlier in its reversed
     direction, which the ascending order searches first.
     """
-    counter = [0]
-    try:
-        order = next(hamilton_cycles(adj, n, counter, max_nodes), None)
-    except NodeBudgetExceeded:
-        return OVER_BUDGET, None, counter[0]
-    if order is None:
-        return EXHAUSTED, None, counter[0]
-    return FOUND, order, counter[0]
+    start = budget.used
+    order = next(hamilton_cycles(adj, n, budget), None)
+    return EXHAUSTED if order is None else FOUND, order, budget.used - start
 
 
-def independence_number(adj, n: int, max_nodes: int):
+def independence_number(adj, n: int, budget):
     """Branch-and-bound maximum independent set size.
 
-    Returns (status, size, nodes).  Branching vertex: maximum degree inside
-    the candidate set, ties to the lowest id; bound: |current| + |candidates|.
-    Depth-first with an explicit stack of (candidates, size) nodes; the
-    branch that takes the picked vertex is searched before the one that
-    drops it.
+    Returns (FOUND, size, nodes), every node charged to ``budget``.
+    Branching vertex: maximum degree inside the candidate set, ties to the
+    lowest id; bound: |current| + |candidates|.  Depth-first with an
+    explicit stack of (candidates, size) nodes; the branch that takes the
+    picked vertex is searched before the one that drops it.
     """
     best = 0
-    nodes = 0
+    nodes, left = 0, budget.limit - budget.used
     stack = [((1 << n) - 1, 0)]
     while stack:
         cand, size = stack.pop()
         nodes += 1
-        if nodes > max_nodes:
-            return OVER_BUDGET, best, nodes
+        if nodes > left:
+            budget.charge(nodes)  # passes the limit, so it raises
         if size + cand.bit_count() <= best:
             continue
         if cand == 0:
@@ -169,4 +165,5 @@ def independence_number(adj, n: int, max_nodes: int):
             c ^= low
         stack.append((cand & ~(1 << pick), size))
         stack.append((cand & ~(adj[pick] | (1 << pick)), size + 1))
+    budget.charge(nodes)
     return FOUND, best, nodes

@@ -50,3 +50,19 @@ class ContractViolationError(HamholesError):
 
 class BudgetExceededError(HamholesError):
     """An exact enumeration or search exceeded its work budget."""
+
+
+class _Budget:
+    """One exact routine's running probe count against its int budget.
+
+    ``charge(k)`` adds k probes to ``used`` and raises BudgetExceededError
+    with the routine's ``message`` once ``used`` passes ``limit``.
+    """
+
+    def __init__(self, limit: int, message: str):
+        self.limit, self.used, self.message = limit, 0, message
+
+    def charge(self, k: int = 1) -> None:
+        self.used += k
+        if self.used > self.limit:
+            raise BudgetExceededError(self.message)

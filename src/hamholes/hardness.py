@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 
 from hamholes._record import Record
-from hamholes.errors import BudgetExceededError, GraphFormatError
+from hamholes.errors import GraphFormatError, _Budget
 from hamholes.graph import (
     Graph,
     _check_vertex_count,
@@ -78,11 +78,9 @@ def _has_balanced_biclique(inst: BipartiteInstance, budget: int) -> bool:
     """Whether K_{k,k} sits in the instance with k vertices per part."""
     a, k = inst.a, inst.k
     b_mask = ((1 << a) - 1) << a
-    probes = 0
+    spent = _Budget(budget, f"biclique enumeration exceeded {budget} probes")
     for chosen in itertools.combinations(range(a), k):
-        probes += 1
-        if probes > budget:
-            raise BudgetExceededError(f"biclique enumeration exceeded {budget} probes")
+        spent.charge()
         common = b_mask
         for u in chosen:
             common &= inst.graph.adj_bits[u]

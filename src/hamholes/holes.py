@@ -24,7 +24,8 @@ from hamholes.graph import Graph, _bits, _ints, _keyword_header, min_degree
 
 # The work budget of every exact routine, here and in oracle, hardness and
 # randomlab: an int count of probes (hole-search subsets, search nodes or
-# augmenting-path searches, as each routine says).
+# augmenting-path searches, as each routine says).  A routine that counts
+# its probes as it runs keeps the count in one errors._Budget built from it.
 DEFAULT_BUDGET = 10**8
 ALPHA_SIZE_GUARD = 20
 

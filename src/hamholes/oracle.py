@@ -10,16 +10,17 @@ expansion.  Vertex connectivity is found by unit-capacity max-flows
 routines sit on the main algorithms' hot path.
 
 The three backtracking searches run in ``hamholes._kernels``; the
-connectivity max-flows run here.  The edge-disjoint search walks all
-Hamilton cycles through the kernels' one Hamilton DFS, the same search in
-the same order as the single-cycle kernel, so one node budget counts both.
+connectivity max-flows run here.  Each routine counts its probes in one
+``errors._Budget`` built from its int budget.  The edge-disjoint search's
+nested levels walk Hamilton cycles through the kernels' one Hamilton DFS
+and all charge that one budget.
 """
 
 from __future__ import annotations
 
 from hamholes import _kernels
-from hamholes._kernels._pure import NodeBudgetExceeded, hamilton_cycles
-from hamholes.errors import BudgetExceededError
+from hamholes._kernels._pure import hamilton_cycles
+from hamholes.errors import _Budget
 from hamholes.graph import Graph, _bits, components, min_degree
 from hamholes.hamilton import CycleSeq
 from hamholes.holes import DEFAULT_BUDGET
@@ -38,11 +39,8 @@ def is_hamiltonian_exact(
         raise ValueError(f"Hamiltonicity needs n >= 3, got {g.n}")
     if min_degree(g) < 2 or len(components(g)) > 1:
         return False, None
-    status, order, _ = _kernels.hamilton_cycle_search(g.adj_bits, g.n, budget)
-    if status == _kernels.OVER_BUDGET:
-        raise BudgetExceededError(
-            f"hamiltonicity search exceeded {budget} node expansions"
-        )
+    spent = _Budget(budget, f"hamiltonicity search exceeded {budget} node expansions")
+    status, order, _ = _kernels.hamilton_cycle_search(g.adj_bits, g.n, spent)
     if status == _kernels.FOUND:
         return True, CycleSeq(g, order)
     return False, None
@@ -52,15 +50,11 @@ def independence_number_exact(g: Graph, budget: int = DEFAULT_BUDGET) -> int:
     """Exact maximum independent set size by branch and bound."""
     if g.n == 0:
         return 0
-    status, best, _ = _kernels.independence_number(g.adj_bits, g.n, budget)
-    if status == _kernels.OVER_BUDGET:
-        raise BudgetExceededError(
-            f"independence search exceeded {budget} node expansions"
-        )
-    return best
+    spent = _Budget(budget, f"independence search exceeded {budget} node expansions")
+    return _kernels.independence_number(g.adj_bits, g.n, spent)[1]
 
 
-def _local_connectivity(adj, n: int, s: int, t: int, cap: int, spend) -> int:
+def _local_connectivity(adj, n: int, s: int, t: int, cap: int, budget) -> int:
     """Internally disjoint s-t paths for non-adjacent s, t, counted up to cap.
 
     Unit-capacity max-flow (Edmonds-Karp) on the split network: node v is
@@ -71,14 +65,15 @@ def _local_connectivity(adj, n: int, s: int, t: int, cap: int, spend) -> int:
     that enters u_out or, when u = s, the one unit that leaves v_in (s and
     t are not adjacent).  ``res[x]`` is the mask of x's residual arcs; an
     augmenting path reverses each of its arcs.  Each augmenting path is
-    found by one breadth-first search, which first calls spend().
+    found by one breadth-first search, which first charges ``budget`` one
+    probe.
     """
     res = [1 << (n + v) for v in range(n)] + list(adj)
     source = n + s
     tbit = 1 << t
     flow = 0
     while flow < cap:
-        spend()
+        budget.charge()
         parent = [-1] * (2 * n)
         seen = 1 << source | 1 << s  # s_in leads only back to s_out
         queue = [source]
@@ -124,22 +119,15 @@ def vertex_connectivity_exact(g: Graph, budget: int = DEFAULT_BUDGET) -> int:
     if n < 1:
         raise ValueError("connectivity needs a nonempty graph")
     adj = g.adj_bits
-    probes = 0
-
-    def spend() -> None:
-        nonlocal probes
-        probes += 1
-        if probes > budget:
-            raise BudgetExceededError(
-                f"connectivity search exceeded {budget} augmenting-path searches"
-            )
-
+    spent = _Budget(
+        budget, f"connectivity search exceeded {budget} augmenting-path searches"
+    )
     best = min_degree(g)
     i = 0
     while i < best:
         later = ((1 << n) - 1) & ~((2 << i) - 1) & ~adj[i]
         for j in _bits(later):
-            best = min(best, _local_connectivity(adj, n, i, j, best, spend))
+            best = min(best, _local_connectivity(adj, n, i, j, best, spent))
         i += 1
     return best
 
@@ -159,27 +147,17 @@ def exists_edge_disjoint_hc_exact(
         raise ValueError(f"edge-disjoint search needs n >= 3, got {g.n}")
     if r < 1:
         raise ValueError(f"r must be >= 1, got {r}")
-    counter = [0]
+    spent = _Budget(budget, f"edge-disjoint search exceeded {budget} node expansions")
 
     def solve(h: Graph, need: int) -> bool:
         if h.m < need * h.n or min_degree(h) < 2 * need:
             return False
         if need == 1:
-            status, _, used = _kernels.hamilton_cycle_search(
-                h.adj_bits, h.n, budget - counter[0]
-            )
-            counter[0] += used
-            if status == _kernels.OVER_BUDGET:
-                raise NodeBudgetExceeded
+            status = _kernels.hamilton_cycle_search(h.adj_bits, h.n, spent)[0]
             return status == _kernels.FOUND
-        for order in hamilton_cycles(h.adj_bits, h.n, counter, budget):
+        for order in hamilton_cycles(h.adj_bits, h.n, spent):
             if solve(h._remove_cycle(order), need - 1):
                 return True
         return False
 
-    try:
-        return solve(g, r)
-    except NodeBudgetExceeded:
-        raise BudgetExceededError(
-            f"edge-disjoint search exceeded {budget} node expansions"
-        ) from None
+    return solve(g, r)

@@ -2,18 +2,13 @@
 line-by-line loop, parse_graph against a line-by-line reference reader, and
 Graph() against a per-edge reference."""
 
-import os
 import random
 import re
-import shutil
-import subprocess
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import hamholes
 from hamholes.errors import GraphFormatError
 from hamholes.graph import Graph, gnp_graph, parse_graph, serialize_graph
 
@@ -165,30 +160,6 @@ def test_bad_edge_same_error_on_both_row_paths(path, corruption):
     text = "\n".join(lines) + "\n"
     expected = (f"line {k + 1}: {complaint}", k + 1)
     assert outcome(text) == outcome(padded(text)) == expected
-
-
-def test_parses_under_python_3_10():
-    # The package promises Python >= 3.10; run it there when one is on PATH.
-    exe = shutil.which("python3.10")
-    probe = exe and subprocess.run([exe, "-c", "pass"], capture_output=True)
-    if not probe or probe.returncode:
-        pytest.skip("no python3.10 runs here")
-    src = str(Path(hamholes.__file__).resolve().parents[1])
-    script = (
-        "import hamholes.cli\n"
-        "from hamholes.graph import parse_graph\n"
-        "text = '4 3\\n0 1\\n1 2\\n3 2\\n'\n"
-        "for t in (text, text.replace('\\n', ' \\n')):\n"
-        "    print(sorted(parse_graph(t).edges()))\n"
-    )
-    out = subprocess.run(
-        [exe, "-B", "-c", script],
-        env=dict(os.environ, PYTHONPATH=src),
-        capture_output=True,
-        text=True,
-    )
-    assert out.returncode == 0, out.stderr
-    assert out.stdout == "[(0, 1), (1, 2), (2, 3)]\n" * 2
 
 
 def reference_error(n, edges):

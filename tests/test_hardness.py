@@ -7,7 +7,7 @@ import tracemalloc
 import pytest
 
 from hamholes import hardness
-from hamholes.errors import GraphFormatError
+from hamholes.errors import BudgetExceededError, GraphFormatError
 from hamholes.graph import Graph
 from hamholes.hardness import (
     BipartiteInstance,
@@ -142,6 +142,25 @@ def test_equivalence_guard_rejects_large():
         check_reduction_equivalence(inst)
     with pytest.raises(ValueError):
         check_reduction_equivalence(_instance(2, 4, []))
+
+
+@pytest.mark.parametrize(
+    "a,k,edges,least,answer",
+    [
+        (3, 2, [(0, 3), (0, 4), (1, 3), (1, 4)], 1, True),
+        (4, 2, [(0, 4), (1, 5), (2, 6), (3, 7)], 6, False),
+        (6, 3, [(u, v) for u in range(6) for v in range(6, 12) if u * v % 3], 12, True),
+    ],
+    ids=["first-pair", "matching", "a6-k3"],
+)
+def test_biclique_least_budget(a, k, edges, least, answer):
+    # Recorded before the enumeration charged a shared budget counter: one
+    # probe per k-subset of A tried.
+    inst = _instance(a, k, edges)
+    assert hardness._has_balanced_biclique(inst, least) is answer
+    with pytest.raises(BudgetExceededError) as exc:
+        hardness._has_balanced_biclique(inst, least - 1)
+    assert str(exc.value) == f"biclique enumeration exceeded {least - 1} probes"
 
 
 def test_known_biclique_cases():

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from corpusutil import random_graphs
 from hamholes._kernels import _pure
 from hamholes._kernels._pure import EXHAUSTED, FOUND
-from hamholes.errors import BudgetExceededError
+from hamholes.errors import BudgetExceededError, _Budget
 from hamholes.graph import (
     Graph,
     bipartite_graph,
@@ -99,42 +99,83 @@ def test_pure_hamilton_search_pinned():
     for g, (status, nodes, order) in zip(_cases(), HAMILTON_PINS, strict=True):
         adj = list(g.adj_bits)
         done = (status, order and [int(v) for v in order.split()], nodes)
-        for budget in (10**7, 25, 3):
+        for limit in (10**7, 25, 3):
+            budget = _Budget(limit, "over")
+            if nodes <= limit:
+                assert _pure.hamilton_cycle_search(adj, g.n, budget) == done, (g, limit)
+            else:
+                with pytest.raises(BudgetExceededError, match="^over$"):
+                    _pure.hamilton_cycle_search(adj, g.n, budget)
             # A search that needs more nodes than its budget stops at budget + 1.
-            want = done if nodes <= budget else (_pure.OVER_BUDGET, None, budget + 1)
-            assert _pure.hamilton_cycle_search(adj, g.n, budget) == want, (g, budget)
+            assert budget.used == min(nodes, limit + 1), (g, limit)
 
 
-# (size, nodes, best at budget 20, best at budget 2) of the pure independence
-# search on each of _cases(), recorded from the recursive search it replaced.
-# A search that runs out of budget reports the best size found so far, so
-# the last two fix how far its visit order has got by then.
+# (size, nodes) of the pure independence search on each of _cases(),
+# recorded from the recursive search it replaced.
 INDEPENDENCE_PINS = [
-    (1, 3, 1, 1), (1, 11, 1, 1), (4, 29, 4, 0), (4, 19, 4, 0),
-    (4, 33, 4, 0), (3, 19, 3, 0), (5, 21, 5, 0), (4, 17, 4, 0),
-    (5, 23, 5, 0), (4, 17, 4, 1), (2, 17, 2, 1), (6, 23, 6, 0),
-    (6, 29, 5, 0), (5, 21, 5, 0), (2, 19, 2, 0), (3, 17, 3, 1),
-    (3, 17, 3, 0), (3, 19, 3, 0), (2, 15, 2, 0), (2, 17, 2, 1),
-    (3, 25, 3, 0), (2, 15, 2, 1), (4, 21, 4, 0), (4, 23, 4, 0),
-    (2, 17, 2, 1), (3, 19, 3, 1), (5, 15, 5, 0), (2, 15, 2, 1),
-    (2, 15, 2, 1), (5, 27, 4, 0), (8, 55, 8, 0), (4, 33, 4, 0),
-    (11, 43, 10, 0), (9, 45, 7, 0), (3, 29, 3, 0), (8, 53, 7, 0),
-    (4, 41, 4, 0), (10, 29, 10, 0), (3, 27, 3, 1), (3, 27, 3, 0),
-    (8, 61, 7, 0), (2, 27, 2, 1), (7, 39, 6, 0), (2, 27, 1, 1),
-    (5, 43, 5, 0), (7, 139, 5, 0), (8, 151, 5, 0), (7, 161, 5, 0),
-    (7, 145, 6, 0), (7, 111, 5, 0), (8, 129, 6, 0),
+    (1, 3), (1, 11), (4, 29), (4, 19), (4, 33), (3, 19), (5, 21), (4, 17),
+    (5, 23), (4, 17), (2, 17), (6, 23), (6, 29), (5, 21), (2, 19), (3, 17),
+    (3, 17), (3, 19), (2, 15), (2, 17), (3, 25), (2, 15), (4, 21), (4, 23),
+    (2, 17), (3, 19), (5, 15), (2, 15), (2, 15), (5, 27), (8, 55), (4, 33),
+    (11, 43), (9, 45), (3, 29), (8, 53), (4, 41), (10, 29), (3, 27), (3, 27),
+    (8, 61), (2, 27), (7, 39), (2, 27), (5, 43), (7, 139), (8, 151), (7, 161),
+    (7, 145), (7, 111), (8, 129),
 ]
 
 
 def test_pure_independence_pinned():
-    for g, (size, nodes, best20, best2) in zip(_cases(), INDEPENDENCE_PINS, strict=True):
+    for g, (size, nodes) in zip(_cases(), INDEPENDENCE_PINS, strict=True):
         adj = list(g.adj_bits)
-        for budget, best in ((DEFAULT_BUDGET, size), (20, best20), (2, best2)):
-            if nodes <= budget:
+        for limit in (DEFAULT_BUDGET, 20, 2):
+            budget = _Budget(limit, "over")
+            if nodes <= limit:
                 want = (FOUND, size, nodes)
+                assert _pure.independence_number(adj, g.n, budget) == want, (g, limit)
             else:
-                want = (_pure.OVER_BUDGET, best, budget + 1)
-            assert _pure.independence_number(adj, g.n, budget) == want, (g, budget)
+                with pytest.raises(BudgetExceededError, match="^over$"):
+                    _pure.independence_number(adj, g.n, budget)
+            assert budget.used == min(nodes, limit + 1), (g, limit)
+
+
+def test_searches_start_from_what_the_budget_has_left():
+    # A kernel given a budget that earlier searches charged trips once the
+    # combined count passes the limit, not where its own count would.
+    g = petersen_graph()
+    for search, nodes in (
+        (_pure.hamilton_cycle_search, 142),
+        (_pure.independence_number, 33),
+    ):
+        budget = _Budget(nodes + 9, "over")
+        budget.charge(9)
+        assert search(g.adj_bits, g.n, budget)[2] == nodes
+        assert budget.used == nodes + 9
+        for before in (10, 20):
+            budget = _Budget(nodes + 9, "over")
+            budget.charge(before)
+            with pytest.raises(BudgetExceededError, match="^over$"):
+                search(g.adj_bits, g.n, budget)
+            assert budget.used == nodes + 10, (search, before)
+
+
+def test_search_between_yields_charges_the_same_budget():
+    # K7's first two Hamilton cycles take 7 and 2 more nodes.  Between the
+    # two yields, an independence search of the Petersen graph (33 nodes)
+    # charges the generator's budget, so the second cycle needs a limit of
+    # 7 + 33 + 2; below that the generator trips at the combined count.
+    g, other = complete_graph(7), petersen_graph()
+    for limit in (42, 41, 40):
+        budget = _Budget(limit, "over")
+        cycles = _pure.hamilton_cycles(g.adj_bits, g.n, budget)
+        assert next(cycles) == [0, 1, 2, 3, 4, 5, 6] and budget.used == 7
+        _pure.independence_number(other.adj_bits, other.n, budget)
+        assert budget.used == 40
+        if limit == 42:
+            assert next(cycles) == [0, 1, 2, 3, 4, 6, 5]
+            assert budget.used == 42
+        else:
+            with pytest.raises(BudgetExceededError, match="^over$"):
+                next(cycles)
+            assert budget.used == limit + 1, limit
 
 
 @pytest.mark.parametrize(

@@ -169,6 +169,57 @@ def test_edge_disjoint_budget_exhaustion():
         exists_edge_disjoint_hc_exact(g, 4, 10)
 
 
+def _cocktail20():
+    return complete_graph(20).remove_edges([(2 * i, 2 * i + 1) for i in range(10)])
+
+
+# (routine, graph, least budget, answer at it).  Each least budget was
+# recorded before the oracles shared one budget counter; it pins every probe
+# the routine charges.
+LEAST_BUDGETS = [
+    ("ham", complete_graph(5), 5, True),
+    ("ham", petersen_graph(), 142, False),
+    ("ham", gnp_graph(14, 0.4, seed=9), 18, True),
+    ("ham", bipartite_graph(3, 4), 109, False),
+    ("alpha", complete_graph(5), 9, 1),
+    ("alpha", petersen_graph(), 33, 4),
+    ("alpha", gnp_graph(14, 0.4, seed=9), 51, 5),
+    ("alpha", _cocktail20(), 39, 2),
+    ("kappa", petersen_graph(), 51, 3),
+    ("kappa", gnp_graph(12, 0.5, seed=4), 80, 4),
+    ("kappa", cycle_graph(9), 24, 2),
+    ("kappa", _cocktail20(), 162, 18),
+]
+# Each routine's oracle and its trip message.
+ORACLES = {
+    "ham": (
+        lambda g, budget: is_hamiltonian_exact(g, budget)[0],
+        "hamiltonicity search exceeded {} node expansions",
+    ),
+    "alpha": (
+        independence_number_exact,
+        "independence search exceeded {} node expansions",
+    ),
+    "kappa": (
+        vertex_connectivity_exact,
+        "connectivity search exceeded {} augmenting-path searches",
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "routine,g,least,answer",
+    LEAST_BUDGETS,
+    ids=[f"{row[0]}-{i}" for i, row in enumerate(LEAST_BUDGETS)],
+)
+def test_oracle_least_budget(routine, g, least, answer):
+    oracle, message = ORACLES[routine]
+    assert oracle(g, least) == answer
+    with pytest.raises(BudgetExceededError) as exc:
+        oracle(g, least - 1)
+    assert str(exc.value) == message.format(least - 1)
+
+
 # ---------------------------------------------------------------------------
 # exact-or-abort and argument checks
 

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from corpusutil import to_nx
+from hamholes.errors import _Budget
 from hamholes.graph import (
     Graph,
     bipartite_graph,
@@ -20,6 +21,7 @@ from hamholes.graph import (
     fan_example_graph,
     gnp_graph,
 )
+from hamholes.holes import DEFAULT_BUDGET
 from hamholes.oracle import (
     _local_connectivity,
     independence_number_exact,
@@ -109,7 +111,8 @@ REROUTE_CASES = [
 def test_local_connectivity_reroutes_through_used_vertex(n, edges, s, t, want):
     g = Graph(n, edges)
     assert local_node_connectivity(to_nx(g), s, t) == want
-    assert _local_connectivity(g.adj_bits, n, s, t, n, lambda: None) == want
+    budget = _Budget(DEFAULT_BUDGET, "over")
+    assert _local_connectivity(g.adj_bits, n, s, t, n, budget) == want
 
 
 def test_local_connectivity_matches_networkx_on_sparse_graphs():
@@ -127,12 +130,10 @@ def test_local_connectivity_matches_networkx_on_sparse_graphs():
                     continue
                 c = local_node_connectivity(h, s, t)
                 for cap in (1, 2, n):
-                    searches = []
-                    got = _local_connectivity(
-                        g.adj_bits, n, s, t, cap, lambda: searches.append(1)
-                    )
+                    searches = _Budget(DEFAULT_BUDGET, "over")
+                    got = _local_connectivity(g.adj_bits, n, s, t, cap, searches)
                     assert got == min(c, cap)
-                    assert len(searches) == min(c, cap) + (c < cap)
+                    assert searches.used == min(c, cap) + (c < cap)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 7, 16])
