@@ -20,4 +20,3 @@ from hamholes._kernels._pure import (
 # backend exists.
 BACKEND = "pure"
 _native = None
-_NATIVE_MAX_N = 64

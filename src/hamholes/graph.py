@@ -517,7 +517,7 @@ def _parse_canonical(text: str) -> Graph | None:
     # Imported here, so that commands that parse no graph skip loading it.
     import json
 
-    body = text[:-1] if text.endswith("\n") else text
+    body = text.rstrip("\n")
     # With the digits gone, each line must leave exactly one space.  No regex:
     # a repeated group keeps backtracking state for every line it matches.
     if body.translate(_DIGITS) != " \n" * body.count("\n") + " ":

@@ -113,7 +113,9 @@ def check_reduction_equivalence(
 
 
 def parse_instance(text: str) -> BipartiteInstance:
-    """Instance text: header ``a b k`` with a = b, then cross edges ``u v``."""
+    """Instance text: header ``a b k`` with a = b, then cross edges ``u v``,
+    each checked and set in the rows as it is read, so that an error names
+    the first bad line; a repeated edge is refused at its own line."""
     lines = _data_lines(text)
     first = next(lines, None)
     if first is None:
@@ -125,19 +127,18 @@ def parse_instance(text: str) -> BipartiteInstance:
     if a < 1 or k < 1:
         raise GraphFormatError("need a = b >= 1 and k >= 1", lineno)
     _check_vertex_count(2 * a, lineno)
-    edges: list[tuple[int, int]] = []
+    rows = [0] * (2 * a)
     for lineno, fields in lines:
         u, v = _ints(fields, "expected edge 'u v'", lineno, 2)
         if not (0 <= u < a <= v < 2 * a):
             raise GraphFormatError(
                 f"edge {u} {v} must satisfy u < {a} <= v < {2 * a}", lineno
             )
-        edges.append((u, v))
-    try:
-        graph = Graph(2 * a, edges)
-    except ValueError as exc:
-        raise GraphFormatError(str(exc)) from None
-    return BipartiteInstance(graph, a, k)
+        if (rows[u] >> v) & 1:
+            raise GraphFormatError(f"duplicate edge {u} {v}", lineno)
+        rows[u] |= 1 << v
+        rows[v] |= 1 << u
+    return BipartiteInstance(Graph._from_rows(2 * a, rows), a, k)
 
 
 def serialize_instance(inst: BipartiteInstance) -> str:

@@ -236,20 +236,19 @@ def translate_certificate(
 ) -> HoleCertificate:
     """Translate a certificate for g minus some Hamilton cycles back to g.
 
-    Checks that each removed cycle spans g and that their edges are
-    distinct edges of g (ContractViolationError otherwise), and that c
-    verifies against g minus the cycles (CertificateError otherwise).  The
-    value k' and the pairs are _translate's; a shortfall surfaces as the
-    result's failed self-check, ContractViolationError (CLI exit 4).
+    Checks that every removed cycle spans g, then subtracts the cycles in
+    turn (Graph._remove_cycle): a pair that is not an edge of what is left
+    raises ContractViolationError.  c must verify against the rest
+    (CertificateError otherwise).  k' and the pairs are _translate's; a
+    shortfall is the result's failed self-check (ContractViolationError).
     """
     removed_cycles = list(removed_cycles)
-    all_edges = []
-    for cyc in removed_cycles:
-        if len(cyc) != g.n:
-            raise ContractViolationError("removed cycle does not span g")
-        all_edges.extend(cyc.edges())
+    if any(len(cyc) != g.n for cyc in removed_cycles):
+        raise ContractViolationError("removed cycle does not span g")
+    g_minus = g
     try:
-        g_minus = g.remove_edges(all_edges)
+        for cyc in removed_cycles:
+            g_minus = g_minus._remove_cycle(cyc.order)
     except ValueError as exc:
         raise ContractViolationError(f"removed cycles are not in g: {exc}") from exc
     verify_certificate(g_minus, c)

@@ -66,7 +66,7 @@ def _local_connectivity(adj, n: int, s: int, t: int, cap: int, budget) -> int:
     t are not adjacent).  ``res[x]`` is the mask of x's residual arcs; an
     augmenting path reverses each of its arcs.  Each augmenting path is
     found by one breadth-first search, which first charges ``budget`` one
-    probe.
+    probe; reaching s_in does nothing, as its one residual arc is to s_out.
     """
     res = [1 << (n + v) for v in range(n)] + list(adj)
     source = n + s
@@ -75,7 +75,7 @@ def _local_connectivity(adj, n: int, s: int, t: int, cap: int, budget) -> int:
     while flow < cap:
         budget.charge()
         parent = [-1] * (2 * n)
-        seen = 1 << source | 1 << s  # s_in leads only back to s_out
+        seen = 1 << source
         queue = [source]
         for x in queue:
             new = res[x] & ~seen

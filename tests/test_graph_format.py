@@ -10,7 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hamholes.errors import GraphFormatError
-from hamholes.graph import Graph, gnp_graph, parse_graph, serialize_graph
+from hamholes.graph import (
+    Graph,
+    _parse_canonical,
+    gnp_graph,
+    parse_graph,
+    serialize_graph,
+)
 
 SETTINGS = settings(max_examples=150, deadline=None)
 
@@ -60,7 +66,8 @@ def test_round_trip_and_both_paths_agree(case):
 # A digit count past Python's default int-to-str limit (4300 digits).
 LONG_NUMBER = "1" * 4301
 
-# Off the canonical layout, yet the same graph.
+# The same graph: the loop reads the first three, which are off the
+# canonical layout, and the bulk parse strips the extra final newline.
 HARMLESS = ("trailing-space", "tab", "crlf", "double-final-newline")
 
 CORRUPTIONS = (
@@ -119,6 +126,32 @@ def test_corrupt_line_same_error_on_both_paths(case, corruption, data):
     else:
         assert isinstance(fast, tuple), "corrupted text parsed"
     assert fast == slow
+
+
+FINAL_NEWLINE_CASES = ("good", "reversed-duplicate", "self-loop", "vertex-n", "missing")
+
+
+@SETTINGS
+@given(edge_lists(min_edges=2), st.sampled_from(FINAL_NEWLINE_CASES), st.integers(2, 3))
+def test_extra_final_newlines_parse_as_one(case, corruption, newlines):
+    # Two or three final newlines give the same graph, or the same error at
+    # the same line, as one; a good canonical text still takes the bulk parse.
+    n, edges = case
+    lines = [f"{u} {v}" for u, v in edges]
+    u, v = edges[0]
+    if corruption == "reversed-duplicate":
+        lines[-1] = f"{v} {u}"
+    elif corruption == "self-loop":
+        lines[-1] = f"{u} {u}"
+    elif corruption == "vertex-n":
+        lines[-1] = f"{u} {n}"
+    elif corruption == "missing":
+        del lines[-1]
+    text = "\n".join([f"{n} {len(edges)}", *lines]) + "\n"
+    more = text + "\n" * (newlines - 1)
+    assert outcome(more) == outcome(text)
+    if corruption == "good":
+        assert _parse_canonical(more) == Graph(n, edges)
 
 
 @pytest.mark.parametrize(

@@ -59,6 +59,11 @@ def test_parse_instance_rejects():
         ("", "missing header 'a b k'"),
         # non-cross edge
         ("2 2 1\n0 1\n", "line 2: edge 0 1 must satisfy u < 2 <= v < 4"),
+        # a repeated edge, at its own line, before any later bad line
+        ("2 2 1\n0 2\n0 2\n", "line 3: duplicate edge 0 2"),
+        ("2 2 1\n0 2\n0 2\n0 1\n", "line 3: duplicate edge 0 2"),
+        ("2 2 1\n0 2\n0 2\nx\n", "line 3: duplicate edge 0 2"),
+        ("# c\n2 2 1\n\n1 3\n0 2\n1 3  # again\n", "line 6: duplicate edge 1 3"),
     ]:
         with pytest.raises(GraphFormatError) as exc:
             parse_instance(text)

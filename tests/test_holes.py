@@ -37,6 +37,7 @@ from hamholes.holes import (
     BipartiteHole,
     HoleCertificate,
     _check_scan_budget,
+    _translate,
     alpha_tilde_at_least,
     alpha_tilde_exact,
     has_bipartite_hole,
@@ -406,6 +407,12 @@ def test_translate_rejects_wrong_span():
     cyc = CycleSeq(cycle_graph(5), (0, 1, 2, 3, 4))
     with pytest.raises(ContractViolationError, match="does not span"):
         translate_certificate(res.certificate, [cyc], complete_graph(6))
+    # A short cycle after one with a pair outside g: every span is checked
+    # before any cycle is subtracted.
+    g = complete_graph(6).remove_edges([(0, 1)])
+    cycles = [CycleSeq(complete_graph(6), range(6)), CycleSeq(g, (1, 2, 3))]
+    with pytest.raises(ContractViolationError, match="does not span"):
+        translate_certificate(HoleCertificate(1, ()), cycles, g)
 
 
 def test_translate_rejects_cycle_edges_absent():
@@ -433,6 +440,75 @@ def test_translate_rejects_a_certificate_invalid_in_the_residual():
     with pytest.raises(CertificateError) as exc:
         translate_certificate(c, [CycleSeq(g, range(6))], g)
     assert str(exc.value) == "pair 1: edge 0 2 joins the sides"
+
+
+def _translate_all_at_once(c, removed_cycles, g):
+    """translate_certificate as it was before it subtracted the cycles one at
+    a time: the edges of every cycle go in one remove_edges call."""
+    removed_cycles = list(removed_cycles)
+    all_edges = []
+    for cyc in removed_cycles:
+        if len(cyc) != g.n:
+            raise ContractViolationError("removed cycle does not span g")
+        all_edges.extend(cyc.edges())
+    try:
+        g_minus = g.remove_edges(all_edges)
+    except ValueError as exc:
+        raise ContractViolationError(f"removed cycles are not in g: {exc}") from exc
+    verify_certificate(g_minus, c)
+    return _translate(c, len(removed_cycles), g)
+
+
+K10 = complete_graph(10)
+
+
+@st.composite
+def translation_cases(draw):
+    """(c, cycles, g) with g = G(n, p) on 4-8 vertices and c a certificate
+    for g minus its first j peeled Hamilton cycles.  Half the time the
+    cycles start with those j.  Each further cycle, up to 3 in all, is a
+    peeled cycle (repeats allowed), any order of g's vertices, a short
+    order, or an order of n ids that may pass g's last vertex."""
+    n = draw(st.integers(4, 8))
+    p = draw(st.sampled_from([0.6, 0.8, 1.0]))
+    g = gnp_graph(n, p, seed=draw(st.integers(0, 999)))
+    peeled, h = [], g
+    while (res := find_hamilton(h)).cycle is not None:
+        peeled.append(res.cycle)
+        h = h.remove_edges(res.cycle.edges())
+    j = draw(st.integers(0, len(peeled)))
+    cycles = list(peeled[:j]) if draw(st.booleans()) else []
+    kinds = ["shuffled", "short", "outside"] + ["peeled"] * 3 * bool(peeled)
+    for kind in draw(st.lists(st.sampled_from(kinds), max_size=3 - len(cycles))):
+        if kind == "peeled":
+            cycles.append(draw(st.sampled_from(peeled)))
+            continue
+        if kind == "shuffled":
+            order = draw(st.permutations(range(n)))
+        elif kind == "short":
+            ids = st.integers(0, n - 1)
+            order = draw(st.lists(ids, min_size=3, max_size=n - 1, unique=True))
+        else:
+            order = draw(st.permutations(range(10)))[:n]
+        cycles.append(CycleSeq(K10, order))
+    h = g.remove_edges(e for cyc in peeled[:j] for e in cyc.edges())
+    c = _certificate_for(h, draw(st.integers(1, alpha_tilde_exact(h))))
+    return c, cycles, g
+
+
+def _translation_outcome(translate, case):
+    try:
+        return translate(*case)
+    except (CertificateError, ContractViolationError) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(translation_cases())
+def test_translate_matches_all_at_once_removal(case):
+    assert _translation_outcome(translate_certificate, case) == _translation_outcome(
+        _translate_all_at_once, case
+    )
 
 
 def _bipartite_plus_cycle(a, b, rng):

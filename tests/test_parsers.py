@@ -51,8 +51,9 @@ PARSERS = [
 
 @settings(max_examples=400, deadline=None)
 @given(texts())
-# The two places where a parser turns a constructor's ValueError into
-# GraphFormatError: a repeated instance edge and an invalid cycle.
+# A repeated instance edge, which the instance parser refuses at its line,
+# and an invalid cycle, whose constructor's ValueError parse_cycle turns into
+# GraphFormatError.
 @example("1 1 1\n0 1\n0 1\n")
 @example("cycle 3\n0 1 9\n")
 # Headers past the vertex limit, refused before any per-vertex allocation.
