@@ -308,12 +308,21 @@ def gnp_graph(n: int, p: float, seed: int) -> Graph:
     t is found by bisection with that same test, so long rows decide as
     short ones do for any p.  N's top byte, byte 3 of its 8, decides all
     but the draws whose top byte is t >> 45 (1 in 256), and those are
-    compared in full.  Memory stays O(k) per row.
+    compared in full.
 
-    Shorter rows keep one ``random()`` call per draw.  A bulk row has a fixed
-    cost of about 1.5 us (the call, the table pass and the int conversion),
-    and on a 2-vCPU x86 host with CPython 3.11 the two loops cost the same
-    somewhere between 48 and 96 pairs for p from 0.01 to 0.8.
+    The long rows are stored by _edge_graph's rule, at most 32 bytes per
+    expected edge.  Below p = 1/16, row u's int is built from its flags,
+    a walk over the flags sets u's bit in each neighbour's row, and memory
+    stays O(k) per row.  From p = 1/16 on, the flags fill the upper
+    triangle of one n * n buffer of ASCII digits, with no Python step per
+    edge: the n^2 bytes are held while the graph is drawn, and each row is
+    read off its row and column of digits at the end.
+
+    Shorter rows keep one ``random()`` call per draw, so a graph with
+    n <= _GNP_BULK_PAIRS takes neither long-row path.  A bulk row has a
+    fixed cost of about 1.5 us (the call, the table pass and the int
+    conversion), and on a 2-vCPU x86 host with CPython 3.11 the two loops
+    cost the same somewhere between 48 and 96 pairs for p from 0.01 to 0.8.
     """
     if n < 1:
         raise ValueError("gnp needs n >= 1")
@@ -323,16 +332,19 @@ def gnp_graph(n: int, p: float, seed: int) -> Graph:
         raise ValueError("gnp requires a seed")
     rng = random.Random(seed)
     # The pairs are in range, loop-free and distinct by construction, so
-    # the rows go straight to the trusted constructor: u's row above the
-    # diagonal is built in one int, its bits below were set by the
-    # earlier rows.
+    # the rows go straight to the trusted constructor.
     rows = [0] * n
     long_rows = range(n - _GNP_BULK_PAIRS)
+    mat = None
     if long_rows:
         t = bisect_left(range(2**53), True, key=lambda N: not N / 2**53 < p)
         top = t >> 45
         # Each top byte's verdict: below top an edge, above it none, "?" open.
         verdict = (b"1" * top + b"?" + b"0" * 255)[:256]
+        if 16 * p >= 1:
+            # Dense: u's flags fill its digit row of one n * n buffer above
+            # the diagonal; the rows are read off it at the end.
+            mat = bytearray(b"0") * (n * n)
     for u in long_rows:
         k = n - 1 - u
         raw = rng.getrandbits(64 * k).to_bytes(8 * k, "little")
@@ -343,18 +355,18 @@ def gnp_graph(n: int, p: float, seed: int) -> Graph:
             draw_n = (words & 0xFFFFFFFF) >> 5 << 26 | words >> 38
             flags[j] = b"01"[draw_n < t]
             j = flags.find(b"?", j + 1)
-        above = int(flags[::-1], 2)
-        rows[u] |= above << (u + 1)
-        # Set u's bit in each neighbour's row, by serialize_graph's rule.
+        if mat is not None:
+            mat[u * n + u + 1 : (u + 1) * n] = flags
+            continue
+        # Sparse: u's row above the diagonal is built in one int, its bits
+        # below were set by the earlier rows; u's bit goes into each
+        # neighbour's row.
+        rows[u] |= int(flags[::-1], 2) << (u + 1)
         bit = 1 << u
-        if 32 * above.bit_count() < k:
-            j = flags.find(b"1")
-            while j >= 0:
-                rows[u + 1 + j] |= bit
-                j = flags.find(b"1", j + 1)
-        else:
-            for v in compress(range(u + 1, n), flags.translate(_FLAGS)):
-                rows[v] |= bit
+        j = flags.find(b"1")
+        while j >= 0:
+            rows[u + 1 + j] |= bit
+            j = flags.find(b"1", j + 1)
     draw = rng.random
     for u in range(len(long_rows), n):
         above = 0
@@ -364,6 +376,14 @@ def gnp_graph(n: int, p: float, seed: int) -> Graph:
                 above |= 1 << v
                 rows[v] |= bit
         rows[u] |= above
+    if mat is not None:
+        # Row u's digits are its long-row bits above the diagonal, column
+        # u's those below, and row holds the short rows' bits.  Reversed,
+        # a digit string reads as one base-2 int.
+        rows = [
+            row | int(mat[u * n : (u + 1) * n][::-1], 2) | int(mat[u::n][::-1], 2)
+            for u, row in enumerate(rows)
+        ]
     return Graph._from_rows(n, rows)
 
 
@@ -602,7 +622,7 @@ def serialize_graph(g: Graph) -> str:
             # flag the names from u+1 on.
             flags = bin(above)[:1:-1].encode().translate(_FLAGS)
             vs = compress(names[u + 1 : u + 1 + len(flags)], flags)
-        # One string per row, not per edge: the edge strings live only
-        # while their row is joined.
-        lines.append("\n".join(map(f"{u} ".__add__, vs)))
+        # One join per row, with "\n{u} " between the names: no string per
+        # edge is made.
+        lines.append(f"{u} " + f"\n{u} ".join(vs))
     return "\n".join(lines)

@@ -367,9 +367,14 @@ def _gnp_through_graph(n, p, seed):
     return Graph(n, edges)
 
 
-@pytest.mark.parametrize("p", [0.0, 0.01, 0.3, 0.5, 1.0])
+@pytest.mark.parametrize(
+    "p",
+    [0.0, 0.01, 0.3, 0.5, 1.0]
+    + [1 / 16, math.nextafter(1 / 16, 0), 0.05, Decimal("0.0625")],
+)
 def test_gnp_rows_match_the_edge_list_construction(p):
-    # Rows of 64 pairs or more (n >= 65) read their draws in bulk.
+    # Rows of 64 pairs or more (n >= 65) read their draws in bulk; from
+    # p = 1/16 on they go through one digit buffer.
     for n in [*range(1, 41), 63, 64, 65, 66, 130, 300]:
         for seed in range(25 if n < 100 else 4):
             got = gnp_graph(n, p, seed)
@@ -434,6 +439,28 @@ def test_gnp_memory_stays_per_row():
         tracemalloc.stop()
     assert g.n == 4000
     assert peak < 4 * 2**20
+
+
+@pytest.mark.parametrize(
+    "n,p,buffer",
+    [(1500, 0.5, True), (2000, math.nextafter(1 / 16, 0), False), (2000, 1 / 16, True)],
+    ids=["dense", "below-the-cut", "at-the-cut"],
+)
+def test_gnp_dense_rows_hold_one_digit_buffer(n, p, buffer):
+    # From p = 1/16 on, the long rows' flags go into one n * n digit buffer
+    # and nothing else of that size is held; below it there is no buffer,
+    # and the rows peak near 0.6 MiB.
+    tracemalloc.start()
+    try:
+        g = gnp_graph(n, p, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert g.n == n
+    if buffer:
+        assert n * n / 2 < peak < n * n + 2**20
+    else:
+        assert peak < 2**20
 
 
 # ---------------------------------------------------------------------------
@@ -590,6 +617,27 @@ def test_row_builder_switches_at_one_sixteenth(monkeypatch, n, edges, sparse):
 def test_serialize_layout():
     text = serialize_graph(Graph(3, [(0, 2), (0, 1)]))
     assert text == "3 2\n0 1\n0 2"  # header, then lexicographic edges
+
+
+@st.composite
+def mixed_rows(draw):
+    """A graph on 0-150 vertices whose rows each draw their own density."""
+    n = draw(st.integers(0, 150))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    density = st.sampled_from([0.0, 0.01, 1 / 32, 0.1, 1.0])
+    ps = draw(st.lists(density, min_size=n, max_size=n))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    return Graph(n, [(u, v) for u, v in pairs if rng.random() < ps[u]])
+
+
+# Row 0 has 1 bit among the 32 above it, the least a row serialize_graph
+# treats as dense can have; row 1 has 1 among 33, and is walked as sparse.
+@example(Graph(35, [(0, 32), (1, 34)]))
+@given(mixed_rows())
+@settings(max_examples=60, deadline=None)
+def test_serialize_matches_the_per_edge_reference(g):
+    reference = "\n".join([f"{g.n} {g.m}", *(f"{u} {v}" for u, v in g.edges())])
+    assert serialize_graph(g) == reference
 
 
 def test_serialize_allocation_follows_text():
