@@ -66,8 +66,14 @@ def hamilton_cycles(adj, n: int, budget):
     which drops its reversal.  Depth-first from vertex 0 with an explicit
     stack, neighbors in ascending order; a prefix is cut when some unvisited
     vertex has fewer than two neighbors left to close the cycle through.
-    Each node expansion is one probe of ``budget``, which callers may share
-    across searches: it is settled before each yield and re-read after it.
+    The test is incremental: the root asks it of every unvisited vertex, and
+    a node below it only of the unvisited neighbors of path[-2].  The parent
+    passed it for every unvisited vertex, and path[-2] is the one vertex
+    that has left their available neighbors since, so no other vertex can
+    fail it now; every prune, visit order and node count is the full
+    test's.  Each node expansion is one probe of ``budget``, which callers
+    may share across searches: it is settled before each yield and re-read
+    after it.
     """
     full = (1 << n) - 1
     path = [0]
@@ -88,12 +94,14 @@ def hamilton_cycles(adj, n: int, budget):
         else:
             # Every unvisited vertex still needs two cycle neighbors, all of
             # which lie among the other unvisited vertices, `cur` and vertex 0.
+            # Below the root only path[-2] has left `avail` since the parent
+            # passed this test, so only its unvisited neighbors are re-tested.
             rest = full & ~visited
             avail = rest | (1 << cur) | 1
-            r = rest
+            r = adj[path[-2]] & rest if len(path) > 1 else rest
             while r:
                 low = r & -r
-                if (adj[low.bit_length() - 1] & (avail & ~low)).bit_count() < 2:
+                if (adj[low.bit_length() - 1] & avail).bit_count() < 2:
                     break
                 r ^= low
             if not r:

@@ -58,7 +58,10 @@ def _hole_side(g: Graph, s: int, t: int, budget: int) -> int | None:
 
     Returns the kernel's answer: the bitmask of the first candidate set X
     of size min(s,t), or None when there is no hole.  Raises
-    BudgetExceededError when C(n, min(s,t)) exceeds the budget.
+    BudgetExceededError when C(n, min(s,t)) exceeds the budget.  With
+    a = min(s,t) = 1 the answer is read off the degrees: X = {v} leaves
+    n - 1 - degree(v) vertices outside its closed neighbourhood, so the
+    first v with degree(v) <= n - 1 - b is the kernel's first X.
     """
     n = g.n
     if s + t > n:
@@ -68,6 +71,9 @@ def _hole_side(g: Graph, s: int, t: int, budget: int) -> int | None:
         raise BudgetExceededError(
             f"instance too large: C({n},{a}) subset probes exceed budget {budget}"
         )
+    if a == 1:
+        cap = n - 1 - b
+        return next((1 << v for v, d in enumerate(g.degrees) if d <= cap), None)
     return _kernels.hole_search(g.adj_bits, n, a, b)
 
 

@@ -1,6 +1,7 @@
 """Bipartite holes, alpha-tilde, certificates, and certificate translation."""
 
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import assume, given, settings
@@ -76,6 +77,20 @@ def test_hole_witness_walks_only_what_it_keeps(count_yields, s, t, hole):
     found = has_bipartite_hole(path_graph(3000), s, t)
     assert (found.s_side, found.t_side) == hole
     assert max(walks) <= max(s, t)
+
+
+def test_side_one_hole_holds_no_row_copies():
+    # A (1, t)-hole is read off the degrees; a copy of the 40000 closed
+    # rows would peak near 100 MiB here.
+    g = path_graph(40000)
+    tracemalloc.start()
+    try:
+        found = has_bipartite_hole(g, 1, 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert found == BipartiteHole((0,), (2, 3, 4, 5, 6))
+    assert peak < 2**20
 
 
 def test_hole_none_when_sides_exceed_n():

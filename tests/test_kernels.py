@@ -1,7 +1,7 @@
 """The kernels' search orders, pinned, and the hole search against a brute
 force that shares no code with it."""
 
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given, settings
@@ -19,7 +19,12 @@ from hamholes.graph import (
     gnp_graph,
     petersen_graph,
 )
-from hamholes.holes import DEFAULT_BUDGET, BipartiteHole, has_bipartite_hole
+from hamholes.holes import (
+    DEFAULT_BUDGET,
+    BipartiteHole,
+    _hole_side,
+    has_bipartite_hole,
+)
 from hamholes.oracle import exists_edge_disjoint_hc_exact, is_hamiltonian_exact
 
 
@@ -34,12 +39,19 @@ def _cases():
     graphs += random_graphs(8, 25, seed=71)
     graphs += random_graphs(13, 15, seed=72)
     graphs += random_graphs(20, 6, seed=73, p=0.3)
+    # Residual graphs, as the r = 2 oracle searches them: each G(12, 0.8)
+    # sample minus its first Hamilton cycle.
+    for g in random_graphs(12, 2, seed=76, p=0.8):
+        first = _pure.hamilton_cycle_search(g.adj_bits, g.n, _Budget(10**7, "over"))
+        graphs.append(g._remove_cycle(first[1]))
+    graphs += random_graphs(10, 1, seed=78, p=0.3)
     return graphs
 
 
 # (status, nodes, order) of the pure Hamilton search on each of _cases() at
 # budget 10**7, which none of them reaches.  They fix its visit order and
-# node count.
+# node count; the last three were recorded with the prune that re-tests
+# every unvisited vertex at every node.
 HAMILTON_PINS = [
     (EXHAUSTED, 1, None),
     (FOUND, 6, "0 1 2 3 4 5"),
@@ -92,6 +104,9 @@ HAMILTON_PINS = [
     (FOUND, 33, "0 4 6 7 9 11 8 17 12 3 2 16 19 5 10 1 15 13 18 14"),
     (EXHAUSTED, 1, None),
     (FOUND, 42, "0 1 2 4 5 15 19 7 9 18 10 12 17 8 14 16 11 6 3 13"),
+    (FOUND, 15, "0 3 1 4 2 5 8 7 11 6 10 9"),
+    (FOUND, 45, "0 2 7 1 4 3 8 6 10 11 5 9"),
+    (EXHAUSTED, 47, None),
 ]
 
 
@@ -111,7 +126,8 @@ def test_pure_hamilton_search_pinned():
 
 
 # (size, nodes) of the pure independence search on each of _cases(),
-# recorded from the recursive search it replaced.
+# recorded from the recursive search it replaced (the last three from this
+# search).
 INDEPENDENCE_PINS = [
     (1, 3), (1, 11), (4, 29), (4, 19), (4, 33), (3, 19), (5, 21), (4, 17),
     (5, 23), (4, 17), (2, 17), (6, 23), (6, 29), (5, 21), (2, 19), (3, 17),
@@ -119,7 +135,7 @@ INDEPENDENCE_PINS = [
     (2, 17), (3, 19), (5, 15), (2, 15), (2, 15), (5, 27), (8, 55), (4, 33),
     (11, 43), (9, 45), (3, 29), (8, 53), (4, 41), (10, 29), (3, 27), (3, 27),
     (8, 61), (2, 27), (7, 39), (2, 27), (5, 43), (7, 139), (8, 151), (7, 161),
-    (7, 145), (7, 111), (8, 129),
+    (7, 145), (7, 111), (8, 129), (3, 27), (4, 27), (4, 27),
 ]
 
 
@@ -227,9 +243,24 @@ def test_hole_search_matches_brute_force():
             _assert_hole_search_matches(g, a)
 
 
+def _brute_force_cycles(g):
+    """Every Hamilton cycle as a vertex list from 0 with order[1] < order[-1],
+    sorted, found by trying every order of the other vertices."""
+    if g.n < 3:
+        return []
+    cycles = []
+    for rest in permutations(range(1, g.n)):
+        order = [0, *rest]
+        if order[1] < order[-1] and all(
+            g.has_edge(u, v) for u, v in zip(order, order[1:] + order[:1])
+        ):
+            cycles.append(order)
+    return sorted(cycles)
+
+
 @st.composite
-def small_graphs(draw):
-    n = draw(st.integers(1, 12))
+def small_graphs(draw, max_n=12):
+    n = draw(st.integers(1, max_n))
     pairs = list(combinations(range(n), 2))
     flags = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
     return Graph(n, [pair for pair, on in zip(pairs, flags) if on])
@@ -240,6 +271,38 @@ def small_graphs(draw):
 def test_hole_search_matches_brute_force_on_every_split(g):
     for a in range(g.n + 1):
         _assert_hole_search_matches(g, a)
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_graphs(max_n=8))
+def test_hamilton_cycles_match_brute_force(g):
+    # The search yields in lexicographic order, so its full list is the
+    # sorted one; the prune may cut no prefix of any cycle.
+    found = list(_pure.hamilton_cycles(g.adj_bits, g.n, _Budget(10**7, "over")))
+    assert found == _brute_force_cycles(g)
+
+
+@st.composite
+def graphs_with_extreme_degrees(draw):
+    """small_graphs, then some vertices cut off from the rest and some
+    joined to all the others, so degrees 0 and n - 1 turn up."""
+    g = draw(small_graphs())
+    vertex_sets = st.sets(st.integers(0, g.n - 1))
+    cut, join = draw(vertex_sets), draw(vertex_sets)
+    edges = {e for e in g.edges() if not cut.intersection(e)}
+    edges |= {(min(u, v), max(u, v)) for u in join for v in range(g.n) if v != u}
+    return Graph(g.n, sorted(edges))
+
+
+@settings(max_examples=200, deadline=None)
+@given(graphs_with_extreme_degrees())
+def test_side_one_is_read_off_the_degrees(g):
+    # _hole_side answers a = 1 without the kernel; it must give the
+    # kernel's first X, or None, for every b and in either order.
+    for b in range(1, g.n + 1):
+        want = _pure.hole_search(g.adj_bits, g.n, 1, b)
+        assert _hole_side(g, 1, b, DEFAULT_BUDGET) == want, (g, b)
+        assert _hole_side(g, b, 1, DEFAULT_BUDGET) == want, (g, b)
 
 
 def test_hole_search_with_fewer_than_b_vertices_finds_nothing():

@@ -1,5 +1,6 @@
 """tests/tools/pairs.py: its summary reproduces the committed BENCH files,
-and its schedule alternates which side runs first.  No benchmark runs."""
+its verdict applies the gain rule, and its schedule alternates which side
+runs first.  No benchmark runs."""
 
 import importlib.util
 import json
@@ -35,6 +36,42 @@ def test_summary_reproduces_committed_files(name):
     bench = json.loads((ROOT / name).read_text())
     for workload in bench["workloads"].values():
         assert pairs.summarize(workload["pairs"], METRICS) == workload["summary"]
+
+
+@pytest.mark.parametrize(
+    "name,workload,better,gap,iqr,holds",
+    [
+        ("BENCH_11.json", "peel", 10, 3.0569, 2.4007, True),
+        ("BENCH_11.json", "exact", 4, 0.5707, 2.1847, False),
+        # 9 of 10 pairs, but the gap is inside the parent's spread.
+        ("BENCH_37.json", "exact", 9, 0.821, 1.1618, False),
+        ("BENCH_39.json", "dense", 9, 0.6548, 0.3048, True),
+    ],
+)
+def test_verdict_applies_the_gain_rule(name, workload, better, gap, iqr, holds):
+    bench = json.loads((ROOT / name).read_text())
+    entry = bench["workloads"][workload]
+    summary = entry["summary"]["session_cal"]
+    assert pairs.verdict(summary, len(entry["pairs"]), "lower") == {
+        "better_pairs": better,
+        "pairs": 10,
+        "median_gap": gap,
+        "parent_iqr": iqr,
+        "holds": holds,
+    }
+
+
+def test_verdict_counts_nine_tenths_and_higher_is_better():
+    entry = {
+        "parent": {"median": 10.0, "q1": 9.0, "q3": 11.0},
+        "change": {"median": 13.5, "q1": 13.0, "q3": 14.0},
+        "change_better_pairs": 18,
+    }
+    assert pairs.verdict(entry, 20, "higher")["holds"]
+    assert not pairs.verdict(entry, 21, "higher")["holds"]
+    # The same gap counts against a change where lower is better.
+    assert pairs.verdict(entry, 20, "lower")["median_gap"] == -3.5
+    assert not pairs.verdict(entry, 20, "lower")["holds"]
 
 
 def test_seeds_and_schedule():

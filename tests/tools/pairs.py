@@ -21,8 +21,12 @@ The output has the layout of the committed BENCH_*.json files: ``change``,
 ``summary`` and ``pairs``.  The summary gives, per metric, the median and
 quartiles of each side (statistics.quantiles, n=4, its default exclusive
 method), the number of pairs in which the change was better, and
-``median_change``, median(change) / median(parent) - 1.  The file is
-rewritten after every pair, so an interrupted run keeps what it measured.
+``median_change``, median(change) / median(parent) - 1.  For the
+``--claim`` metric, ``claim.verdict`` says whether the gain rule holds: the
+change is better in at least nine tenths of the pairs, ties counting for
+neither side, and its median beats the parent's by more than the parent's
+q3 - q1.  The file is rewritten after every pair, so an interrupted run
+keeps what it measured.
 ``--dry-run`` prints the schedule and runs nothing.  It needs nothing
 beyond git and the standard library.
 """
@@ -88,6 +92,24 @@ def summarize(pairs: list[dict], metrics: dict[str, str]) -> dict:
         )
         out[name] = entry
     return out
+
+
+def verdict(entry: dict, pairs: int, better: str) -> dict:
+    """The gain rule on one metric's summary ``entry`` over ``pairs`` pairs:
+    the change better in at least 9 of every 10, and the median gap, in the
+    change's favour, wider than the parent's interquartile range."""
+    sign = 1 if better == "lower" else -1
+    parent = entry["parent"]
+    gap = sign * (parent["median"] - entry["change"]["median"])
+    iqr = parent["q3"] - parent["q1"]
+    won = entry["change_better_pairs"]
+    return {
+        "better_pairs": won,
+        "pairs": pairs,
+        "median_gap": _round(gap),
+        "parent_iqr": _round(iqr),
+        "holds": 10 * won >= 9 * pairs and gap > iqr,
+    }
 
 
 def unpack(ref: str, into: Path) -> None:
@@ -191,6 +213,11 @@ def main(argv: list[str]) -> int:
             entry["pairs"].append(pair)
             if len(entry["pairs"]) > 1:  # quartiles need two runs a side
                 entry["summary"] = summarize(entry["pairs"], metrics)
+                if claim and claim["workload"] == name:
+                    claim["verdict"] = verdict(
+                        entry["summary"][claim["metric"]], len(entry["pairs"]),
+                        claim["better"],
+                    )
             args.out.write_text(json.dumps(report, indent=1) + "\n")
             moved = (
                 f"{m} {pair['parent']['metrics'][m]['value']:.4g} -> "
@@ -198,6 +225,14 @@ def main(argv: list[str]) -> int:
                 for m in metrics
             )
             print(f"{name} {seed}:", "; ".join(moved), flush=True)
+    if claim and "verdict" in claim:
+        v = claim["verdict"]
+        print(
+            f"claim {claim['workload']}:{claim['metric']}: better in "
+            f"{v['better_pairs']} of {v['pairs']} pairs, median gap "
+            f"{v['median_gap']:.4g} against parent IQR {v['parent_iqr']:.4g}: "
+            f"{'holds' if v['holds'] else 'DOES NOT HOLD'}"
+        )
     return 0
 
 
