@@ -293,6 +293,8 @@ def fan_example_graph(k: int, l: int) -> Graph:
 # Rows of at least this many pairs take their draws in one getrandbits call;
 # gnp_graph's docstring gives the measurement behind the cut.
 _GNP_BULK_PAIRS = 64
+# The long rows are drawn in this many blocks, each with its own digit buffer.
+_GNP_BLOCKS = 16
 
 
 def gnp_graph(n: int, p: float, seed: int) -> Graph:
@@ -310,16 +312,17 @@ def gnp_graph(n: int, p: float, seed: int) -> Graph:
     but the draws whose top byte is t >> 45 (1 in 256), and those are
     compared in full.
 
-    The long rows are stored by _edge_graph's rule, at most 32 bytes per
-    expected edge.  Below p = 1/16, row u's int is built from its flags,
-    a walk over the flags sets u's bit in each neighbour's row, and memory
-    stays O(k) per row.  From p = 1/16 on, the flags fill the upper
-    triangle of one n * n buffer of ASCII digits, with no Python step per
-    edge: the n^2 bytes are held while the graph is drawn, and each row is
-    read off its row and column of digits at the end.
+    The L = n - _GNP_BULK_PAIRS long rows take one path for every p, with
+    no Python step per edge.  They are drawn in order, in blocks of
+    ceil(L / _GNP_BLOCKS) rows.  Row u's bits above the diagonal are read
+    off its own flags as soon as they are decided, and the flags also fill
+    u's digit row of the block's (block x n) buffer.  Once a block is drawn,
+    each later vertex reads its bits from the block off its column of
+    digits.  Only one block's buffer is held at a time: about n^2 / 16
+    bytes, half the size of the n full-width rows being built.
 
     Shorter rows keep one ``random()`` call per draw, so a graph with
-    n <= _GNP_BULK_PAIRS takes neither long-row path.  A bulk row has a
+    n <= _GNP_BULK_PAIRS takes no long-row path.  A bulk row has a
     fixed cost of about 1.5 us (the call, the table pass and the int
     conversion), and on a 2-vCPU x86 host with CPython 3.11 the two loops
     cost the same somewhere between 48 and 96 pairs for p from 0.01 to 0.8.
@@ -334,41 +337,35 @@ def gnp_graph(n: int, p: float, seed: int) -> Graph:
     # The pairs are in range, loop-free and distinct by construction, so
     # the rows go straight to the trusted constructor.
     rows = [0] * n
-    long_rows = range(n - _GNP_BULK_PAIRS)
-    mat = None
+    long_rows = max(n - _GNP_BULK_PAIRS, 0)
     if long_rows:
         t = bisect_left(range(2**53), True, key=lambda N: not N / 2**53 < p)
         top = t >> 45
         # Each top byte's verdict: below top an edge, above it none, "?" open.
         verdict = (b"1" * top + b"?" + b"0" * 255)[:256]
-        if 16 * p >= 1:
-            # Dense: u's flags fill its digit row of one n * n buffer above
-            # the diagonal; the rows are read off it at the end.
-            mat = bytearray(b"0") * (n * n)
-    for u in long_rows:
-        k = n - 1 - u
-        raw = rng.getrandbits(64 * k).to_bytes(8 * k, "little")
-        flags = bytearray(raw[3::8].translate(verdict))
-        j = flags.find(b"?")
-        while j >= 0:
-            words = int.from_bytes(raw[8 * j : 8 * j + 8], "little")
-            draw_n = (words & 0xFFFFFFFF) >> 5 << 26 | words >> 38
-            flags[j] = b"01"[draw_n < t]
-            j = flags.find(b"?", j + 1)
-        if mat is not None:
-            mat[u * n + u + 1 : (u + 1) * n] = flags
-            continue
-        # Sparse: u's row above the diagonal is built in one int, its bits
-        # below were set by the earlier rows; u's bit goes into each
-        # neighbour's row.
-        rows[u] |= int(flags[::-1], 2) << (u + 1)
-        bit = 1 << u
-        j = flags.find(b"1")
-        while j >= 0:
-            rows[u + 1 + j] |= bit
-            j = flags.find(b"1", j + 1)
+        size = -(-long_rows // _GNP_BLOCKS)
+        for start in range(0, long_rows, size):
+            stop = min(start + size, long_rows)
+            buf = bytearray(b"0") * ((stop - start) * n)
+            for u in range(start, stop):
+                k = n - 1 - u
+                raw = rng.getrandbits(64 * k).to_bytes(8 * k, "little")
+                flags = bytearray(raw[3::8].translate(verdict))
+                j = flags.find(b"?")
+                while j >= 0:
+                    words = int.from_bytes(raw[8 * j : 8 * j + 8], "little")
+                    draw_n = (words & 0xFFFFFFFF) >> 5 << 26 | words >> 38
+                    flags[j] = b"01"[draw_n < t]
+                    j = flags.find(b"?", j + 1)
+                # Reversed, a digit string reads as one base-2 int.
+                rows[u] |= int(flags[::-1], 2) << (u + 1)
+                buf[(u - start) * n + u + 1 : (u - start + 1) * n] = flags
+            for v in range(start + 1, n):
+                rows[v] |= int(buf[v::n][::-1], 2) << start
+            # Freed before the next buffer is made: one is held at a time.
+            del buf
     draw = rng.random
-    for u in range(len(long_rows), n):
+    for u in range(long_rows, n):
         above = 0
         bit = 1 << u
         for v in range(u + 1, n):
@@ -376,14 +373,6 @@ def gnp_graph(n: int, p: float, seed: int) -> Graph:
                 above |= 1 << v
                 rows[v] |= bit
         rows[u] |= above
-    if mat is not None:
-        # Row u's digits are its long-row bits above the diagonal, column
-        # u's those below, and row holds the short rows' bits.  Reversed,
-        # a digit string reads as one base-2 int.
-        rows = [
-            row | int(mat[u * n : (u + 1) * n][::-1], 2) | int(mat[u::n][::-1], 2)
-            for u, row in enumerate(rows)
-        ]
     return Graph._from_rows(n, rows)
 
 

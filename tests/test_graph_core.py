@@ -373,9 +373,10 @@ def _gnp_through_graph(n, p, seed):
     + [1 / 16, math.nextafter(1 / 16, 0), 0.05, Decimal("0.0625")],
 )
 def test_gnp_rows_match_the_edge_list_construction(p):
-    # Rows of 64 pairs or more (n >= 65) read their draws in bulk; from
-    # p = 1/16 on they go through one digit buffer.
-    for n in [*range(1, 41), 63, 64, 65, 66, 130, 300]:
+    # Rows of 64 pairs or more (n >= 65) read their draws in bulk, in 16
+    # blocks of ceil(L / 16) of the L long rows: n = 65 has one long row,
+    # and n = 81 blocks of 2 whose last holds a single row.
+    for n in [*range(1, 41), 63, 64, 65, 66, 81, 130, 300]:
         for seed in range(25 if n < 100 else 4):
             got = gnp_graph(n, p, seed)
             assert got.adj_bits == _gnp_through_graph(n, p, seed).adj_bits, (n, seed)
@@ -442,14 +443,14 @@ def test_gnp_memory_stays_per_row():
 
 
 @pytest.mark.parametrize(
-    "n,p,buffer",
-    [(1500, 0.5, True), (2000, math.nextafter(1 / 16, 0), False), (2000, 1 / 16, True)],
-    ids=["dense", "below-the-cut", "at-the-cut"],
+    "n,p",
+    [(1500, 0.5), (2000, math.nextafter(1 / 16, 0)), (2000, 1 / 16)],
+    ids=["dense", "below-one-sixteenth", "at-one-sixteenth"],
 )
-def test_gnp_dense_rows_hold_one_digit_buffer(n, p, buffer):
-    # From p = 1/16 on, the long rows' flags go into one n * n digit buffer
-    # and nothing else of that size is held; below it there is no buffer,
-    # and the rows peak near 0.6 MiB.
+def test_gnp_rows_hold_one_block_buffer(n, p):
+    # The rows take n^2 / 8 bytes and one block's digit buffer about
+    # n^2 / 16, whatever p is; a second buffer alive at once would cross
+    # twice the rows' bytes.
     tracemalloc.start()
     try:
         g = gnp_graph(n, p, 1)
@@ -457,10 +458,8 @@ def test_gnp_dense_rows_hold_one_digit_buffer(n, p, buffer):
     finally:
         tracemalloc.stop()
     assert g.n == n
-    if buffer:
-        assert n * n / 2 < peak < n * n + 2**20
-    else:
-        assert peak < 2**20
+    assert peak < 2**20
+    assert peak < n * n / 4
 
 
 # ---------------------------------------------------------------------------

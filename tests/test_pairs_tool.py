@@ -1,6 +1,7 @@
 """tests/tools/pairs.py: its summary reproduces the committed BENCH files,
-its verdict applies the gain rule, and its schedule alternates which side
-runs first.  No benchmark runs."""
+its verdict applies the gain rule, its regression field the no-regression
+rule, and its schedule alternates which side runs first.  No benchmark
+runs."""
 
 import importlib.util
 import json
@@ -14,10 +15,8 @@ _spec = importlib.util.spec_from_file_location(
 )
 pairs = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(pairs)
-METRICS = {
-    m["name"]: m["better"]
-    for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
-}
+END_TO_END = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+METRICS = {m["name"]: m["better"] for m in END_TO_END}
 
 
 def test_summary_of_bench_11_peel():
@@ -72,6 +71,47 @@ def test_verdict_counts_nine_tenths_and_higher_is_better():
     # The same gap counts against a change where lower is better.
     assert pairs.verdict(entry, 20, "lower")["median_gap"] == -3.5
     assert not pairs.verdict(entry, 20, "lower")["holds"]
+
+
+def _setup_pairs(parent, change):
+    return [
+        {"parent": {"metrics": {"setup_s": {"value": p}}},
+         "change": {"metrics": {"setup_s": {"value": c}}}}
+        for p, c in zip(parent, change)
+    ]
+
+
+TIGHT = [0.110, 0.112, 0.113, 0.114, 0.114, 0.114, 0.115, 0.116, 0.118, 0.120]
+WIDE = [0.070, 0.080, 0.090, 0.100, 0.110, 0.118, 0.130, 0.140, 0.150, 0.160]
+
+
+@pytest.mark.parametrize(
+    "parent,change,expected",
+    [
+        # A dense setup_s median of 0.114 s against 0.145 s: +27%, past 25%.
+        (TIGHT, [v + 0.031 for v in TIGHT], "worse"),
+        (TIGHT, [v + 0.025 for v in TIGHT], "ok"),
+        # The parent's IQR is 39% of its median: a tie cannot be told apart,
+        (WIDE, WIDE, "unresolved"),
+        # unless every change run beats every parent run.
+        (WIDE, [v - 0.1 for v in TIGHT], "ok"),
+    ],
+    ids=["pr41-dense-setup", "within-bound", "wide-parent", "wide-parent-separated"],
+)
+def test_regression_applies_the_bound(parent, change, expected):
+    got = pairs.regression(_setup_pairs(parent, change), "setup_s", "lower", 0.25)
+    assert got == expected
+
+
+@pytest.mark.parametrize("name", ["BENCH_39.json", "BENCH_40.json"])
+def test_committed_pairs_show_no_regression(name):
+    bench = json.loads((ROOT / name).read_text())
+    for workload in bench["workloads"].values():
+        for m in END_TO_END:
+            got = pairs.regression(
+                workload["pairs"], m["name"], m["better"], m["bound"]
+            )
+            assert got != "worse", m["name"]
 
 
 def test_seeds_and_schedule():

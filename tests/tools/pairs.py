@@ -25,8 +25,14 @@ method), the number of pairs in which the change was better, and
 ``--claim`` metric, ``claim.verdict`` says whether the gain rule holds: the
 change is better in at least nine tenths of the pairs, ties counting for
 neither side, and its median beats the parent's by more than the parent's
-q3 - q1.  The file is rewritten after every pair, so an interrupted run
-keeps what it measured.
+q3 - q1.  Every metric's ``regression`` applies the no-regression rule
+with the metric's ``bound`` from BENCHMARK.json: ``"worse"`` when the
+change's median is worse than the parent's by more than the bound (a
+fraction of the parent's median), else ``"unresolved"`` when the parent's
+(q3 - q1) / median exceeds the bound and not every change run beats every
+parent run, else ``"ok"``.  Each result that is not ``"ok"`` is printed
+last.  The file is rewritten after every pair, so an interrupted run keeps
+what it measured.
 ``--dry-run`` prints the schedule and runs nothing.  It needs nothing
 beyond git and the standard library.
 """
@@ -112,6 +118,24 @@ def verdict(entry: dict, pairs: int, better: str) -> dict:
     }
 
 
+def regression(pairs: list[dict], name: str, better: str, bound: float) -> str:
+    """The no-regression rule on metric ``name`` over ``pairs``: "worse",
+    "unresolved" or "ok" (see the module docstring)."""
+    sign = 1 if better == "lower" else -1
+    parent, change = (
+        [p[side]["metrics"][name]["value"] for p in pairs]
+        for side in ("parent", "change")
+    )
+    median = statistics.median(parent)
+    if sign * (statistics.median(change) / median - 1) > bound:
+        return "worse"
+    q1, _, q3 = statistics.quantiles(parent, n=4)
+    every_run_better = all(sign * c < sign * p for c in change for p in parent)
+    if (q3 - q1) / median > bound and not every_run_better:
+        return "unresolved"
+    return "ok"
+
+
 def unpack(ref: str, into: Path) -> None:
     """The files of ``ref`` as ``git archive`` gives them, under ``into``."""
     tar = subprocess.run(
@@ -188,6 +212,7 @@ def main(argv: list[str]) -> int:
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
     seconds = benchmark["run_seconds"]
     metrics = {m["name"]: m["better"] for m in benchmark["end_to_end"]}
+    bounds = {m["name"]: m["bound"] for m in benchmark["end_to_end"]}
     claim = None
     if args.claim:
         workload, metric = args.claim.split(":")
@@ -213,6 +238,10 @@ def main(argv: list[str]) -> int:
             entry["pairs"].append(pair)
             if len(entry["pairs"]) > 1:  # quartiles need two runs a side
                 entry["summary"] = summarize(entry["pairs"], metrics)
+                for m, better in metrics.items():
+                    entry["summary"][m]["regression"] = regression(
+                        entry["pairs"], m, better, bounds[m]
+                    )
                 if claim and claim["workload"] == name:
                     claim["verdict"] = verdict(
                         entry["summary"][claim["metric"]], len(entry["pairs"]),
@@ -233,6 +262,13 @@ def main(argv: list[str]) -> int:
             f"{v['median_gap']:.4g} against parent IQR {v['parent_iqr']:.4g}: "
             f"{'holds' if v['holds'] else 'DOES NOT HOLD'}"
         )
+    for name, entry in report["workloads"].items():
+        for m, stats in entry["summary"].items():
+            if stats["regression"] != "ok":
+                print(
+                    f"regression {name}:{m}: {stats['regression']}, median "
+                    f"{stats['median_change']:+.1%} against bound {bounds[m]:.0%}"
+                )
     return 0
 
 
