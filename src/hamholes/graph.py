@@ -157,38 +157,6 @@ def _bits(mask: int):
         mask ^= low
 
 
-def _edge_graph(n: int, us: list[int], vs: list[int]) -> Graph | None:
-    """The graph on 0..n-1 with edges ``us[i] vs[i]``, or None if an edge has
-    a vertex out of range, is a self-loop or repeats.
-
-    One rule per graph, with no rule per row, picks the builder.  Graphs
-    whose rows are on average less than 1/16 full (32m < n^2) go through
-    Graph(n, edges), which checks and sets each edge.  Denser ones, whose
-    buffers then take at most 32 bytes per edge, have both ends of every edge
-    write a "1" straight into one ASCII digit row per vertex, in C-level
-    builtins.  Its one caller, the canonical parse, passes non-negative ids
-    (that layout admits only digits), so an id out of range of the digit rows
-    is too large and raises IndexError.
-    """
-    if 32 * len(us) < n * n:
-        try:
-            return Graph(n, zip(us, vs))
-        except ValueError:
-            return None
-    digits = [bytearray(b"0") * n for _ in range(n)]
-    row = digits.__getitem__
-    try:
-        deque(map(setitem, map(row, us), vs, repeat(ord("1"))), maxlen=0)
-        deque(map(setitem, map(row, vs), us, repeat(ord("1"))), maxlen=0)
-    except IndexError:
-        return None
-    deque(map(bytearray.reverse, digits), maxlen=0)
-    g = Graph._from_rows(n, map(int, digits, repeat(2)))
-    # Each edge set two entries, so the rows hold 2m bits unless some row got
-    # a vertex twice: a duplicate edge, or a self-loop (u twice in u's row).
-    return g if g.m == len(us) else None
-
-
 def min_degree(g: Graph) -> int:
     """Minimum degree; requires at least one vertex."""
     if g.n < 1:
@@ -522,7 +490,21 @@ _DIGITS = str.maketrans("", "", "0123456789")
 
 
 def _parse_canonical(text: str) -> Graph | None:
-    """The graph in canonical-layout text, or None to defer to the full loop."""
+    """The graph in canonical-layout text, or None to defer to the line loop,
+    which also reports an edge that is out of range, a self-loop or a repeat.
+
+    One rule per graph, with no rule per row, picks the row builder.  Graphs
+    whose rows are on average less than 1/16 full (32m < n^2) set each edge's
+    two bits in int rows.  Denser ones, whose buffers then take at most 32
+    bytes per edge, have both ends of every edge write a "1" straight into one
+    ASCII digit row per vertex, in C-level builtins.  The layout admits only
+    digits, so no id is negative; an id of n or more is refused before any
+    row is touched (the int rows test the largest id first, so they never
+    shift by an unchecked id, and the digit rows raise IndexError).  Neither
+    builder tests a bit before setting it: the rows hold 2m bits unless a
+    repeated edge or a self-loop (u twice in u's row) set one twice, so one
+    count of their bits rejects both.
+    """
     # Imported here, so that commands that parse no graph skip loading it.
     import json
 
@@ -542,7 +524,26 @@ def _parse_canonical(text: str) -> Graph | None:
     _check_vertex_count(n, 1)
     if len(nums) != 2 * m + 2:
         return None
-    return _edge_graph(n, nums[2::2], nums[3::2])
+    us, vs = nums[2::2], nums[3::2]
+    if 32 * m < n * n:
+        if m and max(max(us), max(vs)) >= n:
+            return None
+        rows = [0] * n
+        for u, v in zip(us, vs):
+            rows[u] |= 1 << v
+            rows[v] |= 1 << u
+    else:
+        digits = [bytearray(b"0") * n for _ in range(n)]
+        row = digits.__getitem__
+        try:
+            deque(map(setitem, map(row, us), vs, repeat(ord("1"))), maxlen=0)
+            deque(map(setitem, map(row, vs), us, repeat(ord("1"))), maxlen=0)
+        except IndexError:
+            return None
+        deque(map(bytearray.reverse, digits), maxlen=0)
+        rows = map(int, digits, repeat(2))
+    g = Graph._from_rows(n, rows)
+    return g if g.m == m else None
 
 
 def _data_lines(text: str):

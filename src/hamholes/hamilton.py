@@ -26,7 +26,8 @@ from hamholes.holes import BipartiteHole, HoleCertificate, _self_checked, _verte
 
 class _VertexSeq:
     """What PathState and CycleSeq share: ``order`` is the vertex sequence,
-    ``mask`` its membership bitmask.  Instances are immutable.
+    ``mask`` its membership bitmask.  Instances are immutable, apart from
+    PathState's ``_closure`` cache.
     """
 
     __slots__ = ("graph", "order", "mask")
@@ -74,9 +75,15 @@ class _VertexSeq:
 
 
 class PathState(_VertexSeq):
-    """A simple path: distinct vertices, consecutive pairs adjacent."""
+    """A simple path: distinct vertices, consecutive pairs adjacent.
 
-    __slots__ = ()
+    ``_closure`` is a cache: unset until try_close fails on the path, then
+    written once with the two closure masks on which every rewiring failed.
+    extract_certificate reads them instead of building the masks and
+    deciding closability again.
+    """
+
+    __slots__ = ("_closure",)
 
     def __init__(self, graph: Graph, order):
         order = tuple(order)
@@ -237,7 +244,8 @@ def try_close(p: PathState) -> CycleSeq | None:
     Both endpoint neighborhoods lie on the path (maximality is required and
     checked), so position masks realize every split at once.  The cycle is
     built from a valid maximal path and not re-checked: each rewiring keeps
-    the path's vertex set, so its mask is the path's.
+    the path's vertex set, so its mask is the path's.  When no rewiring
+    closes the path, the masks are left on it (see PathState).
     """
     _check_maximal(p, "try_close")
     g, order = p.graph, p.order
@@ -245,7 +253,11 @@ def try_close(p: PathState) -> CycleSeq | None:
     for j, v in enumerate(order[1:_SCAN_POSITIONS], 1):
         if front >> v & 1 and back >> order[j - 1] & 1:
             return _single_flip(p, j)
-    return _rewire(p, *_closure_masks(g, order))
+    masks = _closure_masks(g, order)
+    cycle = _rewire(p, *masks)
+    if cycle is None:
+        p._closure = masks
+    return cycle
 
 
 def _single_flip(p: PathState, j: int) -> CycleSeq:
@@ -307,22 +319,27 @@ def _rewire(p: PathState, a_mask: int, b_mask: int) -> CycleSeq | None:
 def extract_certificate(p: PathState) -> HoleCertificate:
     """Build the alpha_tilde > delta certificate from a failed closure.
 
-    Requires a maximal path of length >= 3 whose closure failed (checked);
-    g is its graph.  With k = min_degree(g) + 1, for each split
-    s = 1..floor(k/2), t = k-s, let k_s be the (0-based) position of the
-    s-th neighbor of the front along the path.  Four derived sets A-D
-    (predecessors of front-neighbors up to k_s; successors of back-neighbors
-    from k_s on; the front plus successors of its neighbors from k_s on;
-    successors of back-neighbors before k_s) yield holes: closure failure
-    makes (A, B) and (D, C) edge-free, and counting shows |B| >= t or
-    (|D| >= s and |C| >= t).  The certificate is self-checked against g, so
-    a shortfall surfaces as that check's ContractViolationError (exit 4).
+    Requires a maximal path of length >= 3 whose closure failed (checked:
+    by the masks a failed try_close left on it, else by building them and
+    running the rewirings again); g is its graph.  With k = min_degree(g) + 1,
+    for each split s = 1..floor(k/2), t = k-s, let k_s be the (0-based)
+    position of the s-th neighbor of the front along the path.  Four derived
+    sets A-D (predecessors of front-neighbors up to k_s; successors of
+    back-neighbors from k_s on; the front plus successors of its neighbors
+    from k_s on; successors of back-neighbors before k_s) yield holes:
+    closure failure makes (A, B) and (D, C) edge-free, and counting shows
+    |B| >= t or (|D| >= s and |C| >= t).  The certificate is self-checked
+    against g, so a shortfall surfaces as that check's
+    ContractViolationError (exit 4).
     """
     _check_maximal(p, "extract_certificate")
     g, order = p.graph, p.order
-    a_mask, b_mask = _closure_masks(g, order)
-    if _rewire(p, a_mask, b_mask) is not None:
-        raise ValueError("path is closable; certificate extraction not allowed")
+    masks = getattr(p, "_closure", None)
+    if masks is None:
+        masks = _closure_masks(g, order)
+        if _rewire(p, *masks) is not None:
+            raise ValueError("path is closable; certificate extraction not allowed")
+    a_mask, b_mask = masks
 
     k = min_degree(g) + 1
     front_pos, back_pos = list(_bits(a_mask)), list(_bits(b_mask))

@@ -546,8 +546,8 @@ def _circulant(n, steps):
 
 
 # A graph whose rows are on average at least 1/16 full is read through one
-# digit row per vertex (complete_graph(300)); a sparser one is built edge by
-# edge by Graph(n, edges) (the 22-regular circulant on 4096 vertices, whose
+# digit row per vertex (complete_graph(300)); a sparser one has each edge's
+# two bits set in int rows (the 22-regular circulant on 4096 vertices, whose
 # rows are wide and sparse).
 LARGE_ROWS = [complete_graph(300), _circulant(4096, [1, *range(300, 3300, 300)])]
 
@@ -588,29 +588,30 @@ def test_parse_rejects_duplicate_in_large_rows(g):
     "n,edges,sparse",
     [
         (8, [(0, 1), (2, 3)], False),  # 32m = n^2: digit rows
-        (8, [(0, 1)], True),  # 32m < n^2: Graph(n, edges)
+        (8, [(0, 1)], True),  # 32m < n^2: int rows
         (0, [], False),
         (1, [], True),
     ],
 )
 def test_row_builder_switches_at_one_sixteenth(monkeypatch, n, edges, sparse):
     expected = Graph(n, edges)
-    calls = []
-    init = Graph.__init__
+    # The digit rows take one setitem per edge end; the int rows take none.
+    writes = []
+    setitem = graph_module.setitem
     monkeypatch.setattr(
-        Graph, "__init__", lambda g, *args: calls.append(1) or init(g, *args)
+        graph_module, "setitem", lambda *args: writes.append(1) or setitem(*args)
     )
     lines = [f"{n} {len(edges)}", *(f"{u} {v}" for u, v in edges)]
-    # Canonical with or without the final newline that gen writes.
+    # Canonical with or without the final newline that gen writes: the bulk
+    # parse returns the graph itself on both sides of the rule, and never
+    # leaves it to the line loop.
     for text in ("\n".join(lines), "\n".join(lines) + "\n"):
-        calls.clear()
-        assert parse_graph(text) == expected
-        assert len(calls) == (1 if sparse else 0)
-    # The line loop sets the rows as it checks each edge: it never reaches
-    # the density rule or the constructor.
-    calls.clear()
+        writes.clear()
+        g = graph_module._parse_canonical(text)
+        assert g is not None and g == expected
+        assert len(writes) == (0 if sparse else 2 * len(edges))
+    # The line loop reads the same graph.
     assert parse_graph("".join(line + " \n" for line in lines)) == expected
-    assert calls == []
 
 
 def test_serialize_layout():

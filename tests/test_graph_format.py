@@ -169,11 +169,11 @@ def test_number_past_digit_limit_is_a_format_error(text, expected):
 
 # G(60, 0.5) fills its rows well past 1/16 on average (32m >= n^2), so the
 # bulk parse writes digit rows; 50 edges on 200 vertices stay below that, so
-# it builds the graph through the constructor, Graph(n, edges).
+# it sets each edge's two bits in int rows.
 PAIRS_200 = [(u, v) for u in range(200) for v in range(u + 1, 200)]
 ROW_PATHS = {
     "digit-rows": gnp_graph(60, 0.5, 1),
-    "constructor": Graph(200, random.Random(1).sample(PAIRS_200, 50)),
+    "sparse-rows": Graph(200, random.Random(1).sample(PAIRS_200, 50)),
 }
 
 
@@ -192,6 +192,15 @@ def test_bad_edge_same_error_on_both_row_paths(path, corruption):
     }[corruption]
     text = "\n".join(lines) + "\n"
     expected = (f"line {k + 1}: {complaint}", k + 1)
+    assert outcome(text) == outcome(padded(text)) == expected
+
+
+def test_huge_id_on_sparse_rows_is_out_of_range():
+    # The sparse rows test the largest id before any shift.  An id past
+    # 2**63 makes an unguarded shift raise OverflowError at once.
+    huge = 10**20
+    text = f"200 2\n0 1\n5 {huge}\n"
+    expected = (f"line 3: vertex out of range in edge 5 {huge}", 3)
     assert outcome(text) == outcome(padded(text)) == expected
 
 

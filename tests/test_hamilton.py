@@ -460,6 +460,17 @@ def test_extract_certificate_rejects_closable_path():
         extract_certificate(p)
 
 
+def test_closable_path_past_the_scan_keeps_no_masks():
+    # The ends of the path 0..69 see 66 and 65: the single flip is at
+    # position 66, past the scan, so try_close builds the masks and closes.
+    # It leaves nothing on the path, so extract_certificate still refuses.
+    g = Graph(70, [*zip(range(69), range(1, 70)), (0, 66), (65, 69)])
+    p = PathState(g, range(70))
+    assert len(try_close(p)) == 70
+    with pytest.raises(ValueError, match="closable"):
+        extract_certificate(p)
+
+
 def test_extract_certificate_needs_three_vertices():
     g = complete_graph(2)
     with pytest.raises(ValueError, match="length >= 3, got 2"):
@@ -467,7 +478,7 @@ def test_extract_certificate_needs_three_vertices():
 
 
 def test_each_round_closes_once(monkeypatch):
-    # extract_certificate decides closability on its own masks, so a run
+    # extract_certificate reads the masks of the failed closing, so a run
     # that ends in a certificate calls try_close once per extend round.
     calls = []
 
@@ -492,7 +503,8 @@ def test_each_round_closes_once(monkeypatch):
 
 def _count_closing_work(monkeypatch):
     # Calls of try_close, of _closure_masks (from try_close past its scan,
-    # and from extract_certificate) and of extract_certificate.
+    # and from extract_certificate on a path try_close did not fail on) and
+    # of extract_certificate.
     calls = {"try_close": 0, "_closure_masks": 0, "extract_certificate": 0}
 
     def counted(name):
@@ -517,8 +529,9 @@ def _count_closing_work(monkeypatch):
         (lambda: find_edge_disjoint_hamilton(gnp_graph(300, 0.8, 5)), 3019, 589, 0),
         # A spanning cycle; no closing has a single flip below position 197.
         (lambda: find_hamilton(gnp_graph(4000, 0.01, 7)), 63, 63, 0),
-        # A stuck path: its closing and its extraction each build the masks.
-        (lambda: find_hamilton(bipartite_graph(300, 400)), 1, 2, 1),
+        # A stuck path: its closing builds the masks, and its extraction
+        # reads them off the path.
+        (lambda: find_hamilton(bipartite_graph(300, 400)), 1, 1, 1),
     ],
     ids=["gnp300-extraction", "gnp4000-find", "k300-400-find"],
 )
